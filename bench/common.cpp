@@ -18,12 +18,8 @@ World::World() {
                frames_);
   scene_ = std::make_unique<SceneBundle>(CityParams{}, CameraConfig{}, 400,
                                          frames_);
-  // The estimation pass is the only expensive part of a harness; cache it
-  // on disk so the second and later binaries start instantly.
-  std::string cache = ".sccpipe_workload.cache";
-  if (const char* env = std::getenv("SCCPIPE_TRACE_CACHE")) cache = env;
-  trace_ = std::make_unique<WorkloadTrace>(WorkloadTrace::build_cached(
-      *scene_, 8, cache, exec::trace_runner()));
+  trace_ = std::make_unique<WorkloadTrace>(
+      WorkloadTrace::build(*scene_, 8, exec::trace_runner()));
   std::fprintf(stderr, "[bench] scene ready: %zu triangles, octree %zu nodes\n",
                scene_->mesh().size(), scene_->octree().node_count());
 }
@@ -40,7 +36,7 @@ RunResult run(const RunConfig& cfg) {
 
 std::vector<RunResult> run_batch(const std::vector<RunConfig>& cfgs) {
   // Force the build on this thread so the workers share a finished,
-  // immutable world (and its disk-cache write happens exactly once).
+  // immutable world.
   const World& w = World::instance();
   return exec::run_grid(w.scene(), w.trace(), cfgs);
 }

@@ -1,7 +1,9 @@
 // Google-benchmark microbenchmarks of the render substrate: octree build,
-// frustum culling, strip estimation and full rasterization.
+// frustum culling, strip and whole-frame estimation and full rasterization.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "sccpipe/render/renderer.hpp"
 #include "sccpipe/scene/city.hpp"
@@ -60,6 +62,24 @@ void BM_EstimateStrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EstimateStrip)->Arg(1)->Arg(7);
+
+// One frame of WorkloadTrace::build: all 28 strips of k = 1..7 in a single
+// estimate_strips call.
+void BM_EstimateFrame(benchmark::State& state) {
+  const CameraConfig cam;
+  const Renderer renderer(city(), octree(), cam, 400, 400);
+  const WalkthroughPath path(city().bounds(), 40);
+  const std::vector<StripRange> strips = divide_rows_up_to(400, 7);
+  std::vector<RenderStats> out(strips.size());
+  int frame = 0;
+  for (auto _ : state) {
+    renderer.estimate_strips(path.view(frame), strips, out);
+    benchmark::DoNotOptimize(out.data());
+    frame = (frame + 1) % 40;
+  }
+  state.counters["strips"] = static_cast<double>(strips.size());
+}
+BENCHMARK(BM_EstimateFrame)->Unit(benchmark::kMillisecond);
 
 void BM_RenderFrame(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));

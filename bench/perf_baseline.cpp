@@ -1,7 +1,8 @@
 // Perf baseline for the allocation-free hot paths: measures the optimised
-// event engine and pixel kernels against the compiled-in reference
-// transcriptions (sim/reference_scheduler.hpp, filters/reference.hpp,
-// render/reference.hpp) and writes BENCH_perf_baseline.json.
+// event engine, pixel kernels and workload estimator against the
+// compiled-in reference transcriptions (sim/reference_scheduler.hpp,
+// filters/reference.hpp, render/reference.hpp) and writes
+// BENCH_perf_baseline.json.
 //
 // The committed numbers are speedup RATIOS (optimised vs reference on the
 // same machine, same build, same workload), so they are comparable across
@@ -22,12 +23,13 @@
 //   --check PATH   compare against a committed record; exit 1 on regression
 
 #include <algorithm>
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -283,6 +285,52 @@ Metric bench_raster(int side, int triangles, int repeats) {
   const double mpix = static_cast<double>(tested) / 1e6;
   return Metric{"raster", "Mpix tested/s", mpix / median(ref_s),
                 mpix / median(opt_s)};
+}
+
+// ----------------------------------------------------- workload estimation
+//
+// The WorkloadTrace::build kernel: reference::estimate_strip once per strip
+// (cull, then the full 4-row transform of every accepted vertex) against
+// Renderer::estimate_strips once per frame (clip x/w shared by all strips,
+// one clip-y row per strip) over the same frames and all sum(k) strips.
+// Every output is CHECKed equal, projected_pixels by its bytes.
+
+Metric bench_estimate(int frames, int side, int max_k, int repeats) {
+  const SceneBundle scene(CityParams{}, CameraConfig{}, side, frames);
+  const Renderer& renderer = scene.renderer();
+  const std::vector<StripRange> strips = divide_rows_up_to(side, max_k);
+  std::vector<Mat4> views;
+  for (int f = 0; f < frames; ++f) views.push_back(scene.path().view(f));
+  const std::size_t n = strips.size();
+  std::vector<RenderStats> ref(n * views.size()), opt(ref.size());
+  std::vector<double> ref_s, opt_s;
+  for (int r = 0; r < repeats; ++r) {
+    auto t0 = Clock::now();
+    for (std::size_t f = 0; f < views.size(); ++f) {
+      for (std::size_t i = 0; i < n; ++i) {
+        ref[f * n + i] = reference::estimate_strip(renderer, views[f], strips[i]);
+      }
+    }
+    ref_s.push_back(seconds_since(t0));
+    t0 = Clock::now();
+    for (std::size_t f = 0; f < views.size(); ++f) {
+      renderer.estimate_strips(views[f], strips,
+                               std::span(opt).subspan(f * n, n));
+    }
+    opt_s.push_back(seconds_since(t0));
+  }
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    SCCPIPE_CHECK(opt[i].cull.nodes_visited == ref[i].cull.nodes_visited);
+    SCCPIPE_CHECK(opt[i].cull.tris_accepted == ref[i].cull.tris_accepted);
+    SCCPIPE_CHECK(opt[i].triangles_transformed == ref[i].triangles_transformed);
+    SCCPIPE_CHECK(opt[i].raster.triangles_clipped_away ==
+                  ref[i].raster.triangles_clipped_away);
+    SCCPIPE_CHECK(std::memcmp(&opt[i].projected_pixels,
+                              &ref[i].projected_pixels, sizeof(double)) == 0);
+  }
+  const double total = static_cast<double>(ref.size());
+  return Metric{"estimate", "strips/s", total / median(ref_s),
+                total / median(opt_s)};
 }
 
 // ----------------------------------------------------- sim_jobs scaling sweep
@@ -681,6 +729,8 @@ int main(int argc, char** argv) {
       [](Image& img) { apply_sepia(img); },
       [](Image& img) { reference::apply_sepia(img); }));
   metrics.push_back(bench_raster(img_side, smoke ? 120 : 400, repeats));
+  // The paper trace's shape: 400x400 frames, k = 1..7 (28 strips a frame).
+  metrics.push_back(bench_estimate(smoke ? 8 : 40, img_side, 7, repeats));
 
   for (const Metric& m : metrics) {
     std::printf("%-12s reference %10.4g %-14s optimized %10.4g %-14s %6.2fx\n",

@@ -8,8 +8,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "sccpipe/core/stage.hpp"
@@ -61,23 +59,12 @@ class WorkloadTrace {
   using ForEachFrame =
       std::function<void(std::size_t, const std::function<void(std::size_t)>&)>;
 
-  /// Runs the estimation pass of the real renderer. O(frames * sum(k)).
+  /// Runs the estimation pass of the real renderer: one
+  /// Renderer::estimate_strips call per frame covering all sum(k) strips.
+  /// The full paper trace (400 frames, 400x400, max_k 7: 11,200 strips)
+  /// takes about a second serially (docs/PERF.md §5).
   static WorkloadTrace build(const SceneBundle& scene, int max_k,
                              const ForEachFrame& for_each = {});
-
-  /// Disk cache: build() is minutes of culling for the full paper
-  /// workload, so benches persist the trace. The fingerprint (scene seed,
-  /// frame count, image size, max_k, format version) guards staleness.
-  /// load() returns an empty optional on any mismatch or I/O problem.
-  void save(const std::string& path, const SceneBundle& scene) const;
-  static std::optional<WorkloadTrace> load(const std::string& path,
-                                           const SceneBundle& scene,
-                                           int max_k);
-
-  /// Load from cache or build and fill the cache.
-  static WorkloadTrace build_cached(const SceneBundle& scene, int max_k,
-                                    const std::string& cache_path,
-                                    const ForEachFrame& for_each = {});
 
   int frame_count() const { return frames_; }
   int max_k() const { return max_k_; }

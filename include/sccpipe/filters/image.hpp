@@ -31,6 +31,10 @@ struct StripRange {
 /// the image "into as many strips as pipelines available".
 std::vector<StripRange> divide_rows(int height, int k);
 
+/// divide_rows(height, k) for k = 1..max_k, concatenated in that order:
+/// the strips one frame of the workload trace is estimated for.
+std::vector<StripRange> divide_rows_up_to(int height, int max_k);
+
 /// Split \p height rows into weights.size() strips whose sizes are
 /// proportional to \p weights (largest-remainder apportionment, ties broken
 /// toward lower index, every strip at least one row). Equal weights

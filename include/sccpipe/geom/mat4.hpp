@@ -30,7 +30,18 @@ struct Mat4 {
   static Mat4 look_at(Vec3 eye, Vec3 center, Vec3 up);
 
   friend Mat4 operator*(const Mat4& a, const Mat4& b);
-  friend Vec4 operator*(const Mat4& a, const Vec4& v);
 };
+
+/// Inline: the workload estimator and the rasterizer transform every
+/// visible vertex through this, and an out-of-line call costs more than
+/// the sixteen multiplies (docs/PERF.md §5).
+inline Vec4 operator*(const Mat4& a, const Vec4& v) {
+  Vec4 r;
+  r.x = a.m[0][0] * v.x + a.m[1][0] * v.y + a.m[2][0] * v.z + a.m[3][0] * v.w;
+  r.y = a.m[0][1] * v.x + a.m[1][1] * v.y + a.m[2][1] * v.z + a.m[3][1] * v.w;
+  r.z = a.m[0][2] * v.x + a.m[1][2] * v.y + a.m[2][2] * v.z + a.m[3][2] * v.w;
+  r.w = a.m[0][3] * v.x + a.m[1][3] * v.y + a.m[2][3] * v.z + a.m[3][3] * v.w;
+  return r;
+}
 
 }  // namespace sccpipe

@@ -6,8 +6,11 @@
 /// provides the cheap workload *estimation* path the timed benches use —
 /// identical culling, but projected-area accounting instead of per-pixel
 /// rasterization (the discrete-event model only needs the counts).
+/// Estimation costs one octree cull per strip plus one clip-y row per
+/// accepted triangle; the x/w projection is shared by all strips of a frame.
 
 #include <cstdint>
+#include <span>
 
 #include "sccpipe/render/rasterizer.hpp"
 #include "sccpipe/scene/camera.hpp"
@@ -40,6 +43,8 @@ class Renderer {
   int frame_width() const { return width_; }
   int frame_height() const { return height_; }
   const CameraConfig& camera() const { return camera_; }
+  const Mesh& mesh() const { return mesh_; }
+  const Octree& octree() const { return octree_; }
 
   /// Render the rows [strip.y0, strip.y0+rows) of the full frame for the
   /// given view matrix. The returned image has strip.rows rows.
@@ -49,8 +54,17 @@ class Renderer {
   /// Full frame convenience.
   Image render(const Mat4& view, RenderStats* stats = nullptr) const;
 
-  /// Workload estimation without rasterization: same culling and
-  /// transform counts, projected pixel area instead of filled pixels.
+  /// Workload estimation without rasterization for several strips of one
+  /// frame: same culling and transform counts as render_strip, projected
+  /// pixel area instead of filled pixels. out[i] receives strips[i]'s
+  /// stats, bit-identical to reference::estimate_strip. Each vertex's clip
+  /// x and w are computed once for all strips, into call-local scratch of
+  /// 28 bytes per mesh triangle, so concurrent calls on one renderer are
+  /// safe.
+  void estimate_strips(const Mat4& view, std::span<const StripRange> strips,
+                       std::span<RenderStats> out) const;
+
+  /// estimate_strips for one strip.
   RenderStats estimate_strip(const Mat4& view, StripRange strip) const;
 
  private:

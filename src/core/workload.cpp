@@ -1,10 +1,6 @@
 #include "sccpipe/core/workload.hpp"
 
-#include <cstdint>
-#include <fstream>
-
 #include "sccpipe/support/check.hpp"
-#include "sccpipe/support/log.hpp"
 
 namespace sccpipe {
 
@@ -48,110 +44,26 @@ const RenderLoad& WorkloadTrace::load(int frame, int k, int strip) const {
   return loads_[index(frame, k, strip)];
 }
 
-namespace {
-
-constexpr std::uint64_t kTraceMagic = 0x5cc9'7bac'e001ULL;  // format v1
-
-struct TraceHeader {
-  std::uint64_t magic = kTraceMagic;
-  std::uint64_t scene_seed = 0;
-  std::int32_t blocks_x = 0;
-  std::int32_t blocks_z = 0;
-  std::int32_t image_side = 0;
-  std::int32_t frames = 0;
-  std::int32_t max_k = 0;
-  std::int32_t reserved = 0;
-};
-
-TraceHeader make_header(const SceneBundle& scene, int max_k) {
-  TraceHeader h;
-  h.scene_seed = scene.city().seed;
-  h.blocks_x = scene.city().blocks_x;
-  h.blocks_z = scene.city().blocks_z;
-  h.image_side = scene.image_side();
-  h.frames = scene.frame_count();
-  h.max_k = max_k;
-  return h;
-}
-
-bool headers_match(const TraceHeader& a, const TraceHeader& b) {
-  return a.magic == b.magic && a.scene_seed == b.scene_seed &&
-         a.blocks_x == b.blocks_x && a.blocks_z == b.blocks_z &&
-         a.image_side == b.image_side && a.frames == b.frames &&
-         a.max_k == b.max_k;
-}
-
-}  // namespace
-
-void WorkloadTrace::save(const std::string& path,
-                         const SceneBundle& scene) const {
-  std::ofstream f(path, std::ios::binary);
-  SCCPIPE_CHECK_MSG(f.is_open(), "cannot open " << path);
-  const TraceHeader header = make_header(scene, max_k_);
-  f.write(reinterpret_cast<const char*>(&header), sizeof header);
-  f.write(reinterpret_cast<const char*>(loads_.data()),
-          static_cast<std::streamsize>(loads_.size() * sizeof(RenderLoad)));
-  SCCPIPE_CHECK_MSG(f.good(), "write failed: " << path);
-}
-
-std::optional<WorkloadTrace> WorkloadTrace::load(const std::string& path,
-                                                 const SceneBundle& scene,
-                                                 int max_k) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f.is_open()) return std::nullopt;
-  TraceHeader header;
-  f.read(reinterpret_cast<char*>(&header), sizeof header);
-  if (!f.good() || !headers_match(header, make_header(scene, max_k))) {
-    return std::nullopt;
-  }
-  WorkloadTrace trace(scene.frame_count(), max_k);
-  f.read(reinterpret_cast<char*>(trace.loads_.data()),
-         static_cast<std::streamsize>(trace.loads_.size() *
-                                      sizeof(RenderLoad)));
-  if (!f.good()) return std::nullopt;
-  // The file must end exactly here (truncated/oversized files rejected).
-  f.peek();
-  if (!f.eof()) return std::nullopt;
-  return trace;
-}
-
-WorkloadTrace WorkloadTrace::build_cached(const SceneBundle& scene, int max_k,
-                                          const std::string& cache_path,
-                                          const ForEachFrame& for_each) {
-  if (auto cached = load(cache_path, scene, max_k)) {
-    SCCPIPE_INFO("workload trace loaded from " << cache_path);
-    return std::move(*cached);
-  }
-  WorkloadTrace trace = build(scene, max_k, for_each);
-  try {
-    trace.save(cache_path, scene);
-  } catch (const CheckError&) {
-    SCCPIPE_WARN("could not write workload cache " << cache_path);
-  }
-  return trace;
-}
-
 WorkloadTrace WorkloadTrace::build(const SceneBundle& scene, int max_k,
                                    const ForEachFrame& for_each) {
   WorkloadTrace trace(scene.frame_count(), max_k);
   const Renderer& renderer = scene.renderer();
-  const int side = scene.image_side();
-  // Frames are independent (culling is const, each frame writes its own
-  // slice of loads_), so the estimation pass — the expensive part of every
-  // bench start-up — parallelises per frame when a runner is supplied.
+  // In trace order (k, then strip), so a frame's slice of loads_ lines up
+  // with the strips index for index.
+  const std::vector<StripRange> strips =
+      divide_rows_up_to(scene.image_side(), max_k);
+  // Frames are independent (the estimator is const, each frame writes its
+  // own slice of loads_), so the pass parallelises per frame when a runner
+  // is supplied.
   const auto estimate_frame = [&](std::size_t f) {
     const int frame = static_cast<int>(f);
-    const Mat4 view = scene.path().view(frame);
-    for (int k = 1; k <= max_k; ++k) {
-      const auto strips = divide_rows(side, k);
-      for (int s = 0; s < k; ++s) {
-        const RenderStats st =
-            renderer.estimate_strip(view, strips[static_cast<std::size_t>(s)]);
-        RenderLoad& load = trace.loads_[trace.index(frame, k, s)];
-        load.nodes_visited = st.cull.nodes_visited;
-        load.tris_accepted = st.cull.tris_accepted;
-        load.projected_pixels = st.projected_pixels;
-      }
+    std::vector<RenderStats> stats(strips.size());
+    renderer.estimate_strips(scene.path().view(frame), strips, stats);
+    RenderLoad* loads = &trace.loads_[trace.index(frame, 1, 0)];
+    for (std::size_t i = 0; i < stats.size(); ++i) {
+      loads[i].nodes_visited = stats[i].cull.nodes_visited;
+      loads[i].tris_accepted = stats[i].cull.tris_accepted;
+      loads[i].projected_pixels = stats[i].projected_pixels;
     }
   };
   const std::size_t frames = static_cast<std::size_t>(scene.frame_count());

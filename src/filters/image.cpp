@@ -23,6 +23,15 @@ std::vector<StripRange> divide_rows(int height, int k) {
   return strips;
 }
 
+std::vector<StripRange> divide_rows_up_to(int height, int max_k) {
+  std::vector<StripRange> strips;
+  for (int k = 1; k <= max_k; ++k) {
+    const std::vector<StripRange> ks = divide_rows(height, k);
+    strips.insert(strips.end(), ks.begin(), ks.end());
+  }
+  return strips;
+}
+
 std::vector<StripRange> divide_rows_weighted(
     int height, const std::vector<double>& weights) {
   const int k = static_cast<int>(weights.size());

@@ -68,48 +68,96 @@ Image Renderer::render(const Mat4& view, RenderStats* stats) const {
   return render_strip(view, StripRange{0, height_}, stats);
 }
 
+namespace {
+
+/// Row \p r of m * Vec4{v, 1}: the sums of operator*(Mat4, Vec4) in the
+/// same order (the product with w = 1 is exact, so it is left out).
+float clip_row(const Mat4& m, int r, Vec3 v) {
+  return m.m[0][r] * v.x + m.m[1][r] * v.y + m.m[2][r] * v.z + m.m[3][r];
+}
+
+/// The part of a triangle's projection that every strip of one frame
+/// shares: clip x and w come from rows 0 and 3 of the strip matrix, which
+/// do not depend on the strip (only row 1, clip y, does).
+struct SharedProjection {
+  float x[3];    ///< screen x of each vertex
+  float w[3];    ///< clip w clamped to a small positive value
+  bool behind;   ///< all three vertices behind the eye: clipped away whole
+};
+
+}  // namespace
+
+void Renderer::estimate_strips(const Mat4& view,
+                               std::span<const StripRange> strips,
+                               std::span<RenderStats> out) const {
+  SCCPIPE_CHECK(out.size() == strips.size());
+  const auto& tris = mesh_.triangles();
+  const float width = static_cast<float>(width_);
+
+  // Rows 0 and 3 of Mat4::frustum depend only on left/right and near/far,
+  // so every strip's clip x and w equal the full frame's bit for bit.
+  const Mat4 frame_vp =
+      strip_projection(camera_, width_, height_, StripRange{0, height_}) *
+      view;
+  std::vector<SharedProjection> shared(tris.size());
+  for (std::size_t ti = 0; ti < tris.size(); ++ti) {
+    const Triangle& t = tris[ti];
+    SharedProjection& p = shared[ti];
+    const Vec3 v[3] = {t.v0, t.v1, t.v2};
+    p.behind = true;
+    for (int i = 0; i < 3; ++i) {
+      const float cx = clip_row(frame_vp, 0, v[i]);
+      const float cw = clip_row(frame_vp, 3, v[i]);
+      p.behind = p.behind && cw <= 1e-4f;
+      // Vertices behind the eye are clamped to a small positive w — good
+      // enough for a workload count.
+      p.w[i] = std::max(cw, 1e-2f);
+      p.x[i] = (cx / p.w[i] * 0.5f + 0.5f) * width;
+    }
+  }
+
+  std::vector<std::uint32_t> visible;
+  for (std::size_t si = 0; si < strips.size(); ++si) {
+    const StripRange strip = strips[si];
+    RenderStats& stats = out[si];
+    stats = RenderStats{};
+    const Mat4 vp = strip_projection(camera_, width_, height_, strip) * view;
+    visible.clear();
+    octree_.cull(Frustum(vp), visible, &stats.cull);
+
+    const float rows = static_cast<float>(strip.rows);
+    const double strip_pixels =
+        static_cast<double>(width_) * static_cast<double>(strip.rows);
+    double area = 0.0;
+    for (const std::uint32_t ti : visible) {
+      ++stats.triangles_transformed;
+      ++stats.raster.triangles_submitted;
+      const SharedProjection& p = shared[ti];
+      if (p.behind) {
+        ++stats.raster.triangles_clipped_away;
+        continue;
+      }
+      // Screen-space area of the projection; only y is strip-specific.
+      const Triangle& t = tris[ti];
+      const float y0 = (0.5f - clip_row(vp, 1, t.v0) / p.w[0] * 0.5f) * rows;
+      const float y1 = (0.5f - clip_row(vp, 1, t.v1) / p.w[1] * 0.5f) * rows;
+      const float y2 = (0.5f - clip_row(vp, 1, t.v2) / p.w[2] * 0.5f) * rows;
+      const double tri_area = 0.5 * std::fabs(static_cast<double>(
+          (p.x[1] - p.x[0]) * (y2 - y0) - (y1 - y0) * (p.x[2] - p.x[0])));
+      // A triangle cannot cover more than the strip.
+      area += std::min(tri_area, strip_pixels);
+    }
+    // Overdraw discounted: roughly half of drawn area survives the z-test
+    // in depth-complex city scenes, and total coverage is bounded by the
+    // strip.
+    stats.projected_pixels = std::min(area, 2.5 * strip_pixels);
+  }
+}
+
 RenderStats Renderer::estimate_strip(const Mat4& view,
                                      StripRange strip) const {
   RenderStats stats;
-  const Mat4 proj = strip_projection(camera_, width_, height_, strip);
-  const Mat4 vp = proj * view;
-  const Frustum frustum(vp);
-
-  std::vector<std::uint32_t> visible;
-  octree_.cull(frustum, visible, &stats.cull);
-
-  const double strip_pixels =
-      static_cast<double>(width_) * static_cast<double>(strip.rows);
-  const auto& tris = mesh_.triangles();
-  double area = 0.0;
-  for (const std::uint32_t ti : visible) {
-    const Triangle& t = tris[ti];
-    const Vec4 c0 = vp * Vec4{t.v0, 1.0f};
-    const Vec4 c1 = vp * Vec4{t.v1, 1.0f};
-    const Vec4 c2 = vp * Vec4{t.v2, 1.0f};
-    ++stats.triangles_transformed;
-    ++stats.raster.triangles_submitted;
-    if (c0.w <= 1e-4f && c1.w <= 1e-4f && c2.w <= 1e-4f) {
-      ++stats.raster.triangles_clipped_away;
-      continue;
-    }
-    // Screen-space area of the projection (vertices behind the eye are
-    // clamped to a small positive w — good enough for a workload count).
-    auto sx = [&](Vec4 c) {
-      const float w = std::max(c.w, 1e-2f);
-      return Vec2{(c.x / w * 0.5f + 0.5f) * static_cast<float>(width_),
-                  (0.5f - c.y / w * 0.5f) * static_cast<float>(strip.rows)};
-    };
-    const Vec2 p0 = sx(c0), p1 = sx(c1), p2 = sx(c2);
-    const double tri_area = 0.5 * std::fabs(
-        static_cast<double>((p1.x - p0.x) * (p2.y - p0.y) -
-                            (p1.y - p0.y) * (p2.x - p0.x)));
-    // A triangle cannot cover more than the strip.
-    area += std::min(tri_area, strip_pixels);
-  }
-  // Overdraw discounted: roughly half of drawn area survives the z-test in
-  // depth-complex city scenes, and total coverage is bounded by the strip.
-  stats.projected_pixels = std::min(area, 2.5 * strip_pixels);
+  estimate_strips(view, {&strip, 1}, {&stats, 1});
   return stats;
 }
 

@@ -117,6 +117,13 @@ TEST(DivideRows, RejectsBadArguments) {
   EXPECT_THROW(divide_rows(4, 5), CheckError);
 }
 
+TEST(DivideRows, UpToConcatenatesEveryStripCount) {
+  const auto strips = divide_rows_up_to(10, 3);
+  const std::vector<StripRange> want = {{0, 10}, {0, 5}, {5, 5},
+                                        {0, 4},  {4, 3}, {7, 3}};
+  EXPECT_EQ(strips, want);
+}
+
 // -------------------------------------------------------------------- Sepia
 
 TEST(Sepia, MatchesPaperFormula) {

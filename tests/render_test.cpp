@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "sccpipe/render/reference.hpp"
 #include "sccpipe/render/renderer.hpp"
 #include "sccpipe/scene/city.hpp"
 
@@ -178,6 +182,99 @@ TEST_F(RendererFixture, StripWorkloadsShrinkWithK) {
     strip_sum_pixels += st.projected_pixels;
   }
   EXPECT_GT(strip_sum_pixels, 0.0);
+}
+
+// ---------------------------------------------------- estimator equivalence
+
+/// Every RenderStats field the estimators write must match exactly: the
+/// counts by value, projected_pixels by its bytes (a last-bit or signed-zero
+/// difference would change the workload trace).
+void expect_same_estimate(const RenderStats& ref, const RenderStats& opt) {
+  EXPECT_EQ(opt.cull.nodes_visited, ref.cull.nodes_visited);
+  EXPECT_EQ(opt.cull.tris_accepted, ref.cull.tris_accepted);
+  EXPECT_EQ(opt.cull.nodes_total, ref.cull.nodes_total);
+  EXPECT_EQ(opt.triangles_transformed, ref.triangles_transformed);
+  EXPECT_EQ(opt.raster.triangles_submitted, ref.raster.triangles_submitted);
+  EXPECT_EQ(opt.raster.triangles_clipped_away,
+            ref.raster.triangles_clipped_away);
+  EXPECT_EQ(std::memcmp(&opt.projected_pixels, &ref.projected_pixels,
+                        sizeof(double)),
+            0)
+      << "reference " << ref.projected_pixels << ", optimised "
+      << opt.projected_pixels;
+}
+
+/// What a comparison exercised: triangles that took the clipped-away
+/// branch, and strips whose estimate is the area sum rather than the
+/// 2.5x-strip cap (a capped strip compares equal whatever the sum was).
+struct Exercised {
+  std::uint64_t clipped = 0;
+  int uncapped = 0;
+};
+
+/// Runs both estimators over every strip of \p view and compares them.
+Exercised compare_estimators(const Renderer& renderer, const Mat4& view,
+                             const std::vector<StripRange>& strips) {
+  std::vector<RenderStats> out(strips.size());
+  renderer.estimate_strips(view, strips, out);
+  Exercised ex;
+  for (std::size_t i = 0; i < strips.size(); ++i) {
+    SCOPED_TRACE("strip " + std::to_string(strips[i].y0) + "+" +
+                 std::to_string(strips[i].rows));
+    expect_same_estimate(reference::estimate_strip(renderer, view, strips[i]),
+                         out[i]);
+    ex.clipped += out[i].raster.triangles_clipped_away;
+    const double cap = 2.5 * renderer.frame_width() * strips[i].rows;
+    if (out[i].projected_pixels < cap) ++ex.uncapped;
+  }
+  return ex;
+}
+
+TEST(EstimatorEquivalence, FrameEstimateMatchesReferenceBitForBit) {
+  // Odd side and k up to 9: divide_rows leaves remainder rows.
+  const int side = 121;
+  const std::vector<StripRange> strips = divide_rows_up_to(side, 9);
+  for (const std::uint64_t seed : {1ull, 3ull, 7ull, 0x5cc91234ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    CityParams p;
+    p.blocks_x = 5;
+    p.blocks_z = 5;
+    p.seed = seed;
+    const Mesh city = generate_city(p);
+    const Octree octree(city);
+    const Renderer renderer(city, octree, CameraConfig{}, side, side);
+    const WalkthroughPath path(city.bounds(), 24);
+    for (int frame = 0; frame < path.frame_count(); frame += 5) {
+      SCOPED_TRACE("frame " + std::to_string(frame));
+      compare_estimators(renderer, path.view(frame), strips);
+    }
+    // Walkthrough strips all reach the cap, so the area sum is compared
+    // on an overview from outside the city, where whole strips are not.
+    const Vec3 c = city.bounds().center();
+    const Vec3 e = city.bounds().extent();
+    const Mat4 overview = Mat4::look_at(c + Vec3{3.0f * e.x, e.y, 0.0f}, c,
+                                        Vec3{0.0f, 1.0f, 0.0f});
+    EXPECT_GT(compare_estimators(renderer, overview, strips).uncapped, 0);
+  }
+}
+
+TEST(EstimatorEquivalence, MatchesReferenceWithTrianglesBehindTheEye) {
+  // Eye at street level in the middle of the city: the octree accepts
+  // nodes that straddle the eye, so whole triangles behind it reach the
+  // clip test — the branch that skips the strip's y projection.
+  CityParams p;
+  p.blocks_x = 5;
+  p.blocks_z = 5;
+  const Mesh city = generate_city(p);
+  const Octree octree(city);
+  const int side = 121;
+  const Renderer renderer(city, octree, CameraConfig{}, side, side);
+  const Vec3 c = city.bounds().center();
+  const Vec3 eye{c.x, city.bounds().lo.y + 2.0f, c.z};
+  const Mat4 view =
+      Mat4::look_at(eye, eye + Vec3{10.0f, 0.0f, 3.0f}, Vec3{0.0f, 1.0f, 0.0f});
+  EXPECT_GT(compare_estimators(renderer, view, divide_rows_up_to(side, 9)).clipped,
+            0u);
 }
 
 }  // namespace
