@@ -31,19 +31,6 @@ namespace sccpipe::exec {
 /// std::thread::hardware_concurrency() (at least 1).
 int default_jobs();
 
-/// Worker count for the partitioned engine *inside* one simulation
-/// (RunConfig::sim_jobs = 0): the SCCPIPE_SIM_JOBS environment variable if
-/// set to a positive integer, otherwise 1 — intra-run parallelism is
-/// opt-in, unlike the between-runs default above.
-int default_sim_jobs();
-
-/// Validate an *explicitly requested* --sim-jobs value: the partitioned
-/// engine needs at least one worker, so zero or negative requests are an
-/// InvalidArgument — the CLIs used to substitute the default silently,
-/// which hid typos in experiment scripts. A caller that wants the default
-/// should omit the flag and use default_sim_jobs() instead.
-Status validate_sim_jobs(int sim_jobs);
-
 /// Fixed-size thread pool. Threads start in the constructor and join in
 /// the destructor; submit() never blocks (unbounded queue).
 class ThreadPool {

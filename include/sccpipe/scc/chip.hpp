@@ -22,7 +22,7 @@
 namespace sccpipe {
 
 class FaultInjector;
-class RegionFabric;
+class SiteFabric;
 
 /// How finely the supply voltage can be set. Frequency is always per tile;
 /// the SCC's silicon couples voltage across 2x2-tile domains (8 cores, six
@@ -114,19 +114,17 @@ class SccChip {
   const PowerMeter& power_meter() const { return meter_; }
   const PowerModel& power_model() const { return power_model_; }
 
+  // --- located dispatch ---------------------------------------------------
+  /// Attach a site fabric (noc/fabric.hpp): the timed-execution primitives
+  /// below become located event chains — compute at the core's tile, DRAM
+  /// streams through the controller's tile, continuations hopping back to
+  /// the caller's site — each leg paying the mesh transit time. The memory
+  /// system's bulk streams follow the same chains. Must be called while no
+  /// timed work is in flight; nullptr detaches and restores the direct
+  /// path. The fabric must outlive the chip or be detached first.
+  void attach_fabric(SiteFabric* fabric);
+
   // --- fail-stop faults ---------------------------------------------------
-  // --- region-native dispatch --------------------------------------------
-  /// Attach a region fabric (noc/fabric.hpp): the timed-execution
-  /// primitives below stop running on the host-region Simulator and become
-  /// located event chains — compute at the core's tile, DRAM streams
-  /// through the controller's region, continuations hopping back to the
-  /// caller's site — so a partitioned run dispatches them concurrently.
-  /// The memory system is re-homed per controller region as a side effect.
-  /// Must be called while no timed work is in flight; nullptr detaches and
-  /// restores the serial (byte-identical to unattached) path. The fabric
-  /// must outlive the chip or be detached first.
-  void attach_fabric(RegionFabric* fabric);
-  RegionFabric* fabric() { return fabric_; }
 
   /// Attach the fault layer so cores can fail-stop (FaultPlan core-fail).
   /// A dead core starts no new work: compute/memory_walk/dram_stream on it
@@ -171,22 +169,15 @@ class SccChip {
   void fabric_walk_step(WalkState st, TileId ret_site);
   void refresh_power();
   void refresh_voltages();
-  /// Fault query / busy accounting against an explicit region-local clock
-  /// (the fabric's chains execute at the owning tile's region, whose now()
-  /// differs from the host Simulator's).
-  bool core_dead_at(CoreId core, SimTime now) const;
-  void set_core_busy_at(CoreId core, bool busy, SimTime now);
-  /// Compute speed from the tile's *live* clock — the region-owned mirror
-  /// of the requested frequency that a mid-run DVFS command updates via a
+  /// Compute speed from the tile's *live* clock — the tile-side mirror of
+  /// the requested frequency that a mid-run DVFS command updates via a
   /// located post (see set_tile_frequency).
   double effective_hz_live(CoreId core) const;
-  /// Fail-slow adjustment of a work duration starting at \p now on \p core:
-  /// an intermittent-stall window defers the start to its end, and a
+  /// Fail-slow adjustment of a work duration starting now on \p core: an
+  /// intermittent-stall window defers the start to its end, and a
   /// slow-core fate multiplies the service time. Identity when no fault
-  /// layer is attached or no gray fate covers the instant. Called at the
-  /// core's tile in fabric mode, so the sampled times are region-local and
-  /// partition-independent.
-  SimTime gray_adjusted(CoreId core, SimTime dur, SimTime now) const;
+  /// layer is attached or no gray fate covers the instant.
+  SimTime gray_adjusted(CoreId core, SimTime dur) const;
 
   Simulator& sim_;
   ChipConfig cfg_;
@@ -196,18 +187,19 @@ class SccChip {
   DvfsTable dvfs_;
   PowerModel power_model_;
   PowerMeter meter_;
-  /// Requested frequency and effective operating point per tile. Host-
-  /// owned: written only by host-region events (DVFS commands, setup), and
-  /// read by the host-side power/voltage refresh and effective_hz().
+  /// Requested frequency and effective operating point per tile, written
+  /// by DVFS commands and setup and read by the power/voltage refresh and
+  /// effective_hz().
   std::vector<int> tile_mhz_;
   std::vector<OperatingPoint> tile_points_;  ///< effective (freq, voltage)
   /// The tile-owned mirror of tile_mhz_: written by an event *at* the tile
   /// (a mid-run DVFS command hops across the mesh before taking effect),
-  /// read by compute() at the tile. Always equals tile_mhz_ in serial mode.
+  /// read by compute() at the tile. Always equals tile_mhz_ without a
+  /// fabric.
   std::vector<int> tile_mhz_live_;
   std::vector<CoreState> cores_;
   const FaultInjector* fault_ = nullptr;
-  RegionFabric* fabric_ = nullptr;
+  SiteFabric* fabric_ = nullptr;
 };
 
 }  // namespace sccpipe

@@ -31,18 +31,18 @@
 /// retry/timeout-heavy workloads (most armed timeouts are cancelled, not
 /// dispatched) stay linear instead of quadratic.
 ///
-/// Bulk merges: merge_append()/merge_commit() let a batch source (the
-/// parallel engine's barrier flush, sim/parallel_sim.hpp) append a whole
-/// window of events and restore the heap invariant once — O(k + rebuild)
-/// amortised instead of k sift-up passes. Because the (time, rank, seq)
-/// key is a strict total order, the merge strategy can never change the
-/// dispatch sequence, only the constant factor of reaching it.
+/// Livelock budget: run_checked() stops a run once kMaxEventsPerTimestamp
+/// events dispatch at one timestamp with more still pending there (a
+/// zero-delay self-reschedule cycle) and returns a typed DeadlineExceeded
+/// instead of spinning forever. The budget counts events, never wall
+/// time, so the verdict is deterministic.
 
 #include <cstdint>
 #include <vector>
 
 #include "sccpipe/sim/callback.hpp"
 #include "sccpipe/sim/dary_heap.hpp"
+#include "sccpipe/support/status.hpp"
 #include "sccpipe/support/time.hpp"
 
 namespace sccpipe {
@@ -103,29 +103,12 @@ class Simulator {
   /// Schedule \p fn at \p when with an explicit tie-break rank. At equal
   /// timestamps, lower ranks dispatch first and any rank dispatches before
   /// plain (kUnranked) events; equal ranks fall back to scheduling order.
-  /// The partitioned engine (sim/parallel_sim.hpp) derives ranks from the
-  /// *simulated* topology (source site, per-site post order), so merged
-  /// cross-region mail dispatches in an order independent of both worker
-  /// count and region count.
+  /// The located-post fabric (noc/fabric.hpp) derives ranks from the
+  /// simulated topology (source site, per-site post order).
   EventHandle schedule_at_ranked(SimTime when, std::uint64_t rank,
                                  Callback fn) {
     return schedule_impl(when, rank, std::move(fn));
   }
-
-  /// Bulk-merge fast path: exactly schedule_at_ranked — same checks, same
-  /// sequence assignment, same handle — except the heap invariant is NOT
-  /// restored until merge_commit(). A batch source (the parallel engine's
-  /// barrier flush) appends a whole window of mail, then commits once:
-  /// O(k + rebuild) amortised instead of k sift passes. Between the first
-  /// merge_append and merge_commit, only merge_append/cancel may be
-  /// called; dispatch and queries CHECK against an uncommitted merge.
-  EventHandle merge_append(SimTime when, std::uint64_t rank, Callback fn);
-
-  /// Restore the heap invariant after a run of merge_append calls (no-op
-  /// when none are outstanding). Dispatch order is provably unaffected:
-  /// (time, rank, seq) is a strict total order, so every valid heap pops
-  /// in the same sequence.
-  void merge_commit();
 
   /// Rank used by the plain schedule_at/schedule_after paths: sorts after
   /// every explicit rank at the same timestamp.
@@ -143,12 +126,9 @@ class Simulator {
   /// key's timestamp — including events a callback schedules *at* that
   /// same timestamp — up to \p max_events, in one pass over the heap
   /// front. Returns the number dispatched (0 when the queue is empty).
-  /// The drain primitive of the parallel engine's window loop: the
-  /// round-trip cap only ever shrinks to strictly *later* timestamps, so
-  /// the cap needs re-reading once per timestamp, not once per event —
-  /// and the caller's livelock watchdog budget maps onto \p max_events
-  /// (a return value of max_events with the front still at the same
-  /// timestamp is exactly the old per-event counter overflowing).
+  /// The livelock budget of run_checked() maps onto \p max_events: a
+  /// return value of max_events with the front still at the same
+  /// timestamp means the clock stopped advancing for that many events.
   std::uint64_t run_timestamp(std::uint64_t max_events);
 
   /// Run until the queue drains. Returns the final simulated time.
@@ -158,15 +138,22 @@ class Simulator {
   /// Events at exactly \p deadline still run.
   SimTime run_until(SimTime deadline);
 
-  /// Run every event strictly before \p bound (events at exactly \p bound
-  /// stay pending). The drain primitive of the partitioned parallel engine
-  /// (sim/parallel_sim.hpp): a region executes its window [now, bound).
-  SimTime run_before(SimTime bound);
+  /// Same-timestamp event budget of run_checked(): far above any
+  /// legitimate co-timed burst.
+  static constexpr std::uint64_t kMaxEventsPerTimestamp = 10'000'000;
 
-  /// Timestamp of the next live event, or SimTime::max() when the queue is
-  /// empty. Discards surfaced tombstones as a side effect (which is why it
-  /// is not const); O(tombstones at the front).
-  SimTime next_event_time();
+  /// run_until(\p deadline) that refuses to hang: returns DeadlineExceeded
+  /// (leaving the remaining events pending) once
+  /// \p max_events_per_timestamp events have dispatched at one timestamp
+  /// with more still pending there, and Ok when the queue drained or the
+  /// next event lies beyond \p deadline.
+  Status run_checked(
+      SimTime deadline = SimTime::max(),
+      std::uint64_t max_events_per_timestamp = kMaxEventsPerTimestamp);
+
+  /// True while an event callback is executing (false during setup and
+  /// after the run).
+  bool dispatching() const { return dispatching_; }
 
   /// Number of events dispatched so far (for tests and sanity limits).
   std::uint64_t dispatched() const { return dispatched_; }
@@ -222,7 +209,7 @@ class Simulator {
   std::uint64_t dispatched_ = 0;
   std::size_t live_pending_ = 0;
   std::size_t tombstones_ = 0;      // cancelled keys still in heap_
-  std::size_t merge_appended_ = 0;  // keys appended, invariant pending
+  bool dispatching_ = false;
   SimulatorStats stats_;
 
   bool is_tombstone(const HeapKey& key) const {

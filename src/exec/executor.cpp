@@ -6,7 +6,6 @@
 #include <deque>
 #include <exception>
 #include <mutex>
-#include <string>
 #include <thread>
 
 #include "sccpipe/support/check.hpp"
@@ -20,21 +19,6 @@ int default_jobs() {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-int default_sim_jobs() {
-  if (const char* env = std::getenv("SCCPIPE_SIM_JOBS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 1;
-}
-
-Status validate_sim_jobs(int sim_jobs) {
-  if (sim_jobs >= 1) return Status();
-  return Status(StatusCode::InvalidArgument,
-                "--sim-jobs must be a positive worker count, got " +
-                    std::to_string(sim_jobs));
 }
 
 // ----------------------------------------------------------------- ThreadPool

@@ -15,30 +15,11 @@ MemorySystem::MemorySystem(Simulator& sim, const MeshTopology& topo,
   const int n = topo_.mc_count();
   latency_streams_.assign(static_cast<std::size_t>(n), 0);
   stats_.resize(static_cast<std::size_t>(n));
-  rebuild_mcs();
-}
-
-void MemorySystem::rebuild_mcs() {
-  for (const auto& mc : mcs_) {
-    SCCPIPE_CHECK_MSG(mc == nullptr || mc->active_flows() == 0,
-                      "re-homing a controller with flows in flight");
-  }
-  mcs_.clear();
-  const int n = topo_.mc_count();
   mcs_.reserve(static_cast<std::size_t>(n));
   for (McId m = 0; m < n; ++m) {
-    Simulator& owner =
-        fabric_ != nullptr
-            ? fabric_->region_sim(topo_.tile_at(topo_.mc_position(m)))
-            : sim_;
     mcs_.push_back(std::make_unique<FairShareResource>(
-        owner, "mc" + std::to_string(m), cfg_.mc_bandwidth_bytes_per_sec));
+        sim_, "mc" + std::to_string(m), cfg_.mc_bandwidth_bytes_per_sec));
   }
-}
-
-void MemorySystem::attach_fabric(RegionFabric* fabric) {
-  fabric_ = fabric;
-  rebuild_mcs();
 }
 
 void MemorySystem::bulk(CoreId core, double bytes, double core_rate_cap,
@@ -97,22 +78,22 @@ void MemorySystem::bulk(CoreId core, double bytes, double core_rate_cap,
 void MemorySystem::fabric_bulk(CoreId core, double bytes, double core_rate_cap,
                                BulkCallback on_done) {
   // Located chain (caller executes at the issuing core's tile):
-  //   1. hop to the host bridge — the mesh model is host-owned, so the
-  //      route charge and the fault-layer admission decision happen there;
+  //   1. hop to the host bridge, where the mesh route charge and the
+  //      fault-layer admission decision happen;
   //   2. located post to the controller's tile, delayed by the head
   //      latency (mesh contention + any MC outage window) plus transit —
-  //      the flow queues on the controller's *regional* fair-share queue;
+  //      the flow queues on the controller's fair-share queue;
   //   3. completion hops back to the core's tile, where on_done runs.
-  RegionFabric& fab = *fabric_;
+  SiteFabric& fab = *fabric_;
   fab.hop(fab.bridge_site(), [this, core, bytes, core_rate_cap,
                               cb = std::move(on_done)]() mutable {
-    RegionFabric& fab = *fabric_;
+    SiteFabric& fab = *fabric_;
     const McId mc = topo_.home_mc(core);
     const auto mci = static_cast<std::size_t>(mc);
     McStats& st = stats_[mci];
     st.bulk_bytes += bytes;
     ++st.bulk_flows;
-    const SimTime now = fab.now();
+    const SimTime now = sim_.now();
     const SimTime mesh_done = mesh_.transfer(now, topo_.core_coord(core),
                                              topo_.mc_position(mc), bytes);
     const SimTime mesh_extra = mesh_done - now;
@@ -140,11 +121,6 @@ void MemorySystem::fabric_bulk(CoreId core, double bytes, double core_rate_cap,
 }
 
 SimTime MemorySystem::latency_bound(CoreId core, double n_accesses) const {
-  return latency_bound(core, n_accesses, sim_.now());
-}
-
-SimTime MemorySystem::latency_bound(CoreId core, double n_accesses,
-                                    SimTime now) const {
   SCCPIPE_CHECK(topo_.valid_core(core));
   SCCPIPE_CHECK(n_accesses >= 0.0);
   const McId mc = topo_.home_mc(core);
@@ -156,7 +132,7 @@ SimTime MemorySystem::latency_bound(CoreId core, double n_accesses,
   SimTime per_access = cfg_.base_line_latency * inflation +
                        cfg_.per_hop_latency * static_cast<double>(hops);
   if (fault_ != nullptr && fault_->enabled()) {
-    per_access = per_access * fault_->mc_slowdown(mc, now);
+    per_access = per_access * fault_->mc_slowdown(mc, sim_.now());
   }
   return per_access * n_accesses;
 }

@@ -66,13 +66,13 @@ void SccChip::set_tile_frequency(TileId tile, int mhz) {
   SCCPIPE_CHECK(tile >= 0 && tile < topo_.tile_count());
   SCCPIPE_CHECK(dvfs_.allowed(mhz));
   // Requested frequency, voltage domains and the power bill are host-side
-  // bookkeeping and update synchronously. The tile's live clock is owned
-  // by the tile's region: a mid-run DVFS command crosses the mesh as a
-  // located post before compute() on that tile sees the new speed.
+  // bookkeeping and update synchronously. A mid-run DVFS command crosses
+  // the mesh as a located post before compute() on that tile sees the new
+  // speed; setup-time commands apply at once.
   tile_mhz_[static_cast<std::size_t>(tile)] = mhz;
   refresh_voltages();
   refresh_power();
-  if (fabric_ != nullptr && RegionFabric::in_run()) {
+  if (fabric_ != nullptr && sim_.dispatching()) {
     fabric_->hop(tile, [this, tile, mhz] {
       tile_mhz_live_[static_cast<std::size_t>(tile)] = mhz;
     });
@@ -81,7 +81,7 @@ void SccChip::set_tile_frequency(TileId tile, int mhz) {
   }
 }
 
-void SccChip::attach_fabric(RegionFabric* fabric) {
+void SccChip::attach_fabric(SiteFabric* fabric) {
   fabric_ = fabric;
   mem_.attach_fabric(fabric);
 }
@@ -161,17 +161,13 @@ int SccChip::allocated_count() const {
 }
 
 void SccChip::set_core_busy(CoreId core, bool busy) {
-  set_core_busy_at(core, busy, sim_.now());
-}
-
-void SccChip::set_core_busy_at(CoreId core, bool busy, SimTime now) {
   SCCPIPE_CHECK(topo_.valid_core(core));
   CoreState& st = cores_[static_cast<std::size_t>(core)];
   if (st.busy == busy) return;
   if (busy) {
-    st.busy_since = now;
+    st.busy_since = sim_.now();
   } else {
-    st.busy_total += now - st.busy_since;
+    st.busy_total += sim_.now() - st.busy_since;
   }
   st.busy = busy;
 }
@@ -185,15 +181,12 @@ SimTime SccChip::core_busy_time(CoreId core) const {
 }
 
 bool SccChip::core_dead(CoreId core) const {
-  return core_dead_at(core, sim_.now());
+  return fault_ != nullptr && fault_->core_failed(core, sim_.now());
 }
 
-bool SccChip::core_dead_at(CoreId core, SimTime now) const {
-  return fault_ != nullptr && fault_->core_failed(core, now);
-}
-
-SimTime SccChip::gray_adjusted(CoreId core, SimTime dur, SimTime now) const {
+SimTime SccChip::gray_adjusted(CoreId core, SimTime dur) const {
   if (fault_ == nullptr) return dur;
+  const SimTime now = sim_.now();
   // An intermittent stall freezes the core: work arriving mid-window waits
   // the window out (deferred, never dropped), and the core reads as busy
   // for the wait — a frozen core with queued work is occupied, not idle.
@@ -207,29 +200,27 @@ void SccChip::compute(CoreId core, double ref_cycles,
   SCCPIPE_CHECK(ref_cycles >= 0.0);
   SCCPIPE_CHECK(on_done != nullptr);
   if (fabric_ != nullptr) {
-    // Region-native chain: hop to the core's tile, run the work on the
-    // tile's regional clock, hop back to the caller's site. The fail-stop
-    // check happens *at the tile* (arrival time is partition-independent),
-    // and the duration reads the tile-owned live clock.
+    // Located chain: hop to the core's tile, run the work there, hop back
+    // to the caller's site. The fail-stop check happens *at the tile*, on
+    // arrival, and the duration reads the tile's live clock.
     const TileId ret = fabric_->current_site();
     const TileId ct = topo_.tile_of(core);
     fabric_->hop(ct, [this, core, ref_cycles, ret,
                       cb = std::move(on_done)]() mutable {
-      if (core_dead_at(core, fabric_->now())) return;
+      if (core_dead(core)) return;
       const SimTime dur = gray_adjusted(
-          core, SimTime::sec(ref_cycles / effective_hz_live(core)),
-          fabric_->now());
-      set_core_busy_at(core, true, fabric_->now());
+          core, SimTime::sec(ref_cycles / effective_hz_live(core)));
+      set_core_busy(core, true);
       fabric_->after(dur, [this, core, ret, cb = std::move(cb)]() mutable {
-        set_core_busy_at(core, false, fabric_->now());
+        set_core_busy(core, false);
         fabric_->hop(ret, [cb = std::move(cb)]() mutable { cb(); });
       });
     });
     return;
   }
   if (core_dead(core)) return;  // fail-stop: nothing starts, nothing returns
-  const SimTime dur = gray_adjusted(
-      core, SimTime::sec(ref_cycles / effective_hz(core)), sim_.now());
+  const SimTime dur =
+      gray_adjusted(core, SimTime::sec(ref_cycles / effective_hz(core)));
   set_core_busy(core, true);
   sim_.schedule_after(dur, [this, core, cb = std::move(on_done)]() mutable {
     set_core_busy(core, false);
@@ -245,16 +236,15 @@ void SccChip::memory_walk(CoreId core, double line_accesses,
   // lifetime, not whatever happened to be in flight the instant it began.
   constexpr int kSegments = 4;
   if (fabric_ != nullptr) {
-    // Region-native chain: busy accounting at the core's tile, then the
-    // dependent-miss segments at the home controller's tile — the walker
-    // registration and load sampling touch MC-region-owned state, so they
-    // must execute there.
+    // Located chain: busy accounting at the core's tile, then the
+    // dependent-miss segments at the home controller's tile, where the
+    // walker registers and samples the controller's load.
     const TileId ret = fabric_->current_site();
     const TileId ct = topo_.tile_of(core);
     fabric_->hop(ct, [this, core, line_accesses, ret,
                       cb = std::move(on_done)]() mutable {
-      if (core_dead_at(core, fabric_->now())) return;
-      set_core_busy_at(core, true, fabric_->now());
+      if (core_dead(core)) return;
+      set_core_busy(core, true);
       const TileId mct = topo_.tile_at(topo_.mc_position(topo_.home_mc(core)));
       fabric_->hop(mct, [this, core, line_accesses, ret,
                          cb = std::move(cb)]() mutable {
@@ -281,28 +271,27 @@ void SccChip::walk_step(WalkState st) {
     return;
   }
   --st.remaining;
-  const SimTime dur = gray_adjusted(
-      st.core, mem_.latency_bound(st.core, st.per_segment), sim_.now());
+  const SimTime dur =
+      gray_adjusted(st.core, mem_.latency_bound(st.core, st.per_segment));
   sim_.schedule_after(
       dur, [this, st = std::move(st)]() mutable { walk_step(std::move(st)); });
 }
 
 void SccChip::fabric_walk_step(WalkState st, TileId ret_site) {
-  // Executes at the home controller's tile (load sampled on its region).
+  // Executes at the home controller's tile.
   if (st.remaining == 0) {
     mem_.unregister_latency_stream(st.core);
     const TileId ct = topo_.tile_of(st.core);
     fabric_->hop(ct, [this, core = st.core, ret_site,
                       cb = std::move(st.on_done)]() mutable {
-      set_core_busy_at(core, false, fabric_->now());
+      set_core_busy(core, false);
       fabric_->hop(ret_site, [cb = std::move(cb)]() mutable { cb(); });
     });
     return;
   }
   --st.remaining;
-  const SimTime dur = gray_adjusted(
-      st.core, mem_.latency_bound(st.core, st.per_segment, fabric_->now()),
-      fabric_->now());
+  const SimTime dur =
+      gray_adjusted(st.core, mem_.latency_bound(st.core, st.per_segment));
   fabric_->after(dur, [this, st = std::move(st), ret_site]() mutable {
     fabric_walk_step(std::move(st), ret_site);
   });
@@ -312,18 +301,18 @@ void SccChip::dram_stream(CoreId core, double bytes,
                           StageCallback on_done) {
   SCCPIPE_CHECK(on_done != nullptr);
   if (fabric_ != nullptr) {
-    // Region-native chain: the stream is issued from the core's tile (the
-    // memory system routes it through the controller's region and calls
+    // Located chain: the stream is issued from the core's tile (the
+    // memory system routes it through the controller's tile and calls
     // back at the core's tile), then the continuation hops home.
     const TileId ret = fabric_->current_site();
     const TileId ct = topo_.tile_of(core);
     fabric_->hop(ct, [this, core, bytes, ret,
                       cb = std::move(on_done)]() mutable {
-      if (core_dead_at(core, fabric_->now())) return;
-      set_core_busy_at(core, true, fabric_->now());
+      if (core_dead(core)) return;
+      set_core_busy(core, true);
       mem_.bulk(core, bytes, copy_rate(core),
                 [this, core, ret, cb = std::move(cb)]() mutable {
-                  set_core_busy_at(core, false, fabric_->now());
+                  set_core_busy(core, false);
                   fabric_->hop(ret, [cb = std::move(cb)]() mutable { cb(); });
                 });
     });

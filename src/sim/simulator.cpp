@@ -1,6 +1,7 @@
 #include "sccpipe/sim/simulator.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "sccpipe/support/check.hpp"
 
@@ -66,28 +67,6 @@ EventHandle Simulator::schedule_impl(SimTime when, std::uint64_t rank,
   return EventHandle{slot, seq};
 }
 
-EventHandle Simulator::merge_append(SimTime when, std::uint64_t rank,
-                                    Callback fn) {
-  SCCPIPE_CHECK_MSG(when >= now_, "merge_append(" << when.to_string()
-                                                  << ") is before now="
-                                                  << now_.to_string());
-  SCCPIPE_CHECK(fn != nullptr);
-  const std::uint64_t seq = next_seq_++;
-  const std::uint32_t slot = acquire_slot(seq, std::move(fn));
-  if (heap_.size() == heap_.capacity()) ++stats_.allocs;
-  heap_.append(HeapKey{when, rank, seq, slot});
-  ++merge_appended_;
-  ++live_pending_;
-  stats_.peak_events =
-      std::max<std::uint64_t>(stats_.peak_events, live_pending_);
-  return EventHandle{slot, seq};
-}
-
-void Simulator::merge_commit() {
-  heap_.commit(merge_appended_);
-  merge_appended_ = 0;
-}
-
 SimTime Simulator::delay_to_when(SimTime delay) const {
   SCCPIPE_CHECK_MSG(!delay.is_negative(),
                     "negative delay " << delay.to_string());
@@ -125,17 +104,10 @@ void Simulator::compact_if_worthwhile() {
   heap_.remove_and_rebuild(
       [&](const HeapKey& key) { return is_tombstone(key); });
   tombstones_ = 0;
-  // The rebuild re-established the invariant for every key, appended or
-  // not (only reachable if a caller cancels mid-merge, which the barrier
-  // flush never does).
-  merge_appended_ = 0;
   ++stats_.compactions;
 }
 
 void Simulator::drop_front_tombstones() {
-  SCCPIPE_CHECK_MSG(merge_appended_ == 0,
-                    "dispatch/query during an uncommitted bulk merge — "
-                    "call merge_commit() first");
   while (!heap_.empty() && is_tombstone(heap_.front())) {
     heap_.pop_front();
     --tombstones_;
@@ -157,6 +129,13 @@ void Simulator::dispatch_front() {
   now_ = key.when;
   --live_pending_;
   ++dispatched_;
+  // Cleared on unwind too, so a callback that throws cannot leave the
+  // simulator claiming to be mid-dispatch.
+  struct DispatchScope {
+    bool& flag;
+    explicit DispatchScope(bool& f) : flag(f) { flag = true; }
+    ~DispatchScope() { flag = false; }
+  } scope(dispatching_);
   fn();
 }
 
@@ -187,27 +166,33 @@ SimTime Simulator::run() {
 }
 
 SimTime Simulator::run_until(SimTime deadline) {
-  for (;;) {
-    drop_front_tombstones();
-    if (heap_.empty() || heap_.front().when > deadline) break;
-    // All events at the front timestamp are <= deadline: batch them.
-    run_timestamp(~std::uint64_t{0});
-  }
+  // An unreachable budget: the checked loop with no livelock verdict.
+  (void)run_checked(deadline, ~std::uint64_t{0});
   return now_;
 }
 
-SimTime Simulator::run_before(SimTime bound) {
+Status Simulator::run_checked(SimTime deadline,
+                              std::uint64_t max_events_per_timestamp) {
   for (;;) {
     drop_front_tombstones();
-    if (heap_.empty() || heap_.front().when >= bound) break;
-    run_timestamp(~std::uint64_t{0});
+    if (heap_.empty() || heap_.front().when > deadline) return Status();
+    // All events at the front timestamp are <= deadline: batch them. The
+    // batch stopping at the budget with the front still at the same
+    // timestamp means the clock has stopped advancing.
+    const SimTime ts = heap_.front().when;
+    if (run_timestamp(max_events_per_timestamp) < max_events_per_timestamp) {
+      continue;
+    }
+    drop_front_tombstones();
+    if (!heap_.empty() && heap_.front().when == ts) {
+      return Status(StatusCode::DeadlineExceeded,
+                    "simulator stalled: " +
+                        std::to_string(max_events_per_timestamp) +
+                        " events dispatched at " + ts.to_string() +
+                        " and more are pending there, so the clock stopped "
+                        "advancing (zero-delay self-reschedule cycle)");
+    }
   }
-  return now_;
-}
-
-SimTime Simulator::next_event_time() {
-  drop_front_tombstones();
-  return heap_.empty() ? SimTime::max() : heap_.front().when;
 }
 
 std::size_t Simulator::pending() const { return live_pending_; }

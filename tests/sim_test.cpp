@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sccpipe/sim/fair_share.hpp"
@@ -12,6 +13,7 @@
 #include "sccpipe/sim/trace.hpp"
 #include "sccpipe/support/check.hpp"
 #include "sccpipe/support/rng.hpp"
+#include "sccpipe/support/status.hpp"
 
 namespace sccpipe {
 namespace {
@@ -124,8 +126,8 @@ TEST(Simulator, RunUntilMidHeapWithTombstonesAndSameCycleCancel) {
   // The tombstone-peek path: run_until must stop mid-heap while cancelled
   // entries are still buried in it — including one cancelled *during the
   // deadline cycle itself*, after dispatch of that cycle has begun — and
-  // the resume primitives (next_event_time / run_before / run) must skip
-  // every corpse without dispatching it.
+  // resuming (run_timestamp / run_until / run) must skip every corpse
+  // without dispatching it.
   Simulator sim;
   std::vector<int> fired;
   auto arm = [&](int id, SimTime at) {
@@ -159,38 +161,22 @@ TEST(Simulator, RunUntilMidHeapWithTombstonesAndSameCycleCancel) {
   EXPECT_EQ(sim.now(), 3_ms);
   // Live survivors: 7, 8, 9; the 4 ms / 5 ms tombstones are still heaped.
   EXPECT_EQ(sim.pending(), 3u);
-  // next_event_time discards the surfaced corpses to find the first live
-  // event, without dispatching anything.
-  EXPECT_EQ(sim.next_event_time(), 7_ms);
-  EXPECT_EQ(fired.size(), 3u);
   // Every cancelled handle is spent.
   EXPECT_FALSE(sim.cancel(at4a));
   EXPECT_FALSE(sim.cancel(at5));
   EXPECT_FALSE(sim.cancel(at3_second));
 
-  // run_before is exclusive: the event at exactly the bound stays pending.
-  sim.run_before(9_ms);
+  // The next batch discards the surfaced corpses and runs the first live
+  // timestamp only.
+  EXPECT_EQ(sim.run_timestamp(~std::uint64_t{0}), 1u);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 7}));
+  EXPECT_EQ(sim.now(), 7_ms);
+  sim.run_until(8_ms);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 7, 8}));
-  EXPECT_EQ(sim.next_event_time(), 9_ms);
+  EXPECT_EQ(sim.pending(), 1u);
   sim.run();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 7, 8, 9}));
   EXPECT_EQ(sim.pending(), 0u);
-}
-
-TEST(Simulator, NextEventTimeAndRunBeforeAreWindowPrimitives) {
-  // The two primitives the partitioned engine is built on: peek the next
-  // live timestamp, drain the half-open window [now, bound).
-  Simulator sim;
-  EXPECT_EQ(sim.next_event_time(), SimTime::max());
-  int count = 0;
-  sim.schedule_at(2_ms, [&] { ++count; });
-  EXPECT_EQ(sim.next_event_time(), 2_ms);
-  sim.run_before(2_ms);  // exclusive: nothing runs at exactly the bound
-  EXPECT_EQ(count, 0);
-  EXPECT_EQ(sim.pending(), 1u);
-  sim.run_before(2_ms + SimTime::ns(1));
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(sim.next_event_time(), SimTime::max());
 }
 
 TEST(Simulator, StressScheduleCancelCycles) {
@@ -583,7 +569,7 @@ TEST(RunTimestamp, DispatchesEveryCoTimedEventIncludingNewcomers) {
   EXPECT_EQ(sim.run_timestamp(~std::uint64_t{0}), 3u);
   EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.now(), SimTime::us(1));
-  EXPECT_EQ(sim.next_event_time(), SimTime::us(2));
+  EXPECT_EQ(sim.pending(), 1u);
   EXPECT_EQ(sim.run_timestamp(~std::uint64_t{0}), 1u);
   EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(sim.run_timestamp(~std::uint64_t{0}), 0u);  // drained
@@ -597,11 +583,12 @@ TEST(RunTimestamp, BudgetCutsABatchMidTimestamp) {
   }
   EXPECT_EQ(sim.run_timestamp(4), 4u);
   EXPECT_EQ(ran, 4);
-  // The front is still at the cut timestamp — exactly the signal the
-  // parallel engine's watchdog keys on.
-  EXPECT_EQ(sim.next_event_time(), SimTime::us(7));
+  // The rest of the batch is still pending at the cut timestamp — the
+  // signal run_checked()'s livelock budget keys on.
+  EXPECT_EQ(sim.pending(), 6u);
   EXPECT_EQ(sim.run_timestamp(~std::uint64_t{0}), 6u);
   EXPECT_EQ(ran, 10);
+  EXPECT_EQ(sim.now(), SimTime::us(7));
 }
 
 TEST(RunTimestamp, SkipsFrontTombstones) {
@@ -615,109 +602,79 @@ TEST(RunTimestamp, SkipsFrontTombstones) {
   EXPECT_EQ(sim.now(), SimTime::us(2));
 }
 
-// ------------------------------------------------- bulk window merges
+// ------------------------------------------------------ livelock budget
 
-TEST(MergeAppend, MatchesIndividualRankedSchedulesExactly) {
-  // The same ranked batch delivered two ways — individual pushes vs one
-  // append-then-commit merge — must dispatch identically: the (time,
-  // rank, seq) key is a strict total order, so any valid heap pops the
-  // same way.
-  auto drive = [](bool merged) {
-    Simulator sim;
-    std::vector<int> log;
-    // A little pre-existing queue so the merge lands in a non-empty heap.
-    for (int i = 0; i < 8; ++i) {
-      sim.schedule_at(SimTime::us(5 + i), [&log, i] { log.push_back(100 + i); });
-    }
-    struct Mail {
-      SimTime when;
-      std::uint64_t rank;
-      int id;
-    };
-    std::vector<Mail> batch;
-    for (int i = 0; i < 20; ++i) {
-      batch.push_back(Mail{SimTime::us(4 + (i * 7) % 9),
-                           static_cast<std::uint64_t>((i * 5) % 3), i});
-    }
-    for (const Mail& m : batch) {
-      auto cb = [&log, id = m.id] { log.push_back(id); };
-      if (merged) {
-        sim.merge_append(m.when, m.rank, std::move(cb));
-      } else {
-        sim.schedule_at_ranked(m.when, m.rank, std::move(cb));
-      }
-    }
-    if (merged) sim.merge_commit();
-    sim.run();
-    return log;
-  };
-  EXPECT_EQ(drive(true), drive(false));
-}
-
-TEST(MergeAppend, LargeBatchTakesTheRebuildPathAndStaysOrdered) {
-  // 1000 appends into a 10-deep queue: commit() must take the Floyd
-  // rebuild path (k*8 >= size) and still produce (time, rank, seq) order.
+// A zero-delay self-reschedule cycle pins the clock: without the budget
+// run_checked() would spin forever. With a test-sized budget it must stop
+// with a typed DeadlineExceeded, leaving the cycle and later events pending.
+TEST(RunChecked, ZeroDelayCycleStopsWithDeadlineExceeded) {
   Simulator sim;
-  std::vector<std::pair<std::int64_t, int>> log;
-  for (int i = 0; i < 10; ++i) {
-    sim.schedule_at(SimTime::us(500 + i), [&log, i] {
-      log.push_back({-1, i});
-    });
-  }
-  for (int i = 0; i < 1000; ++i) {
-    const SimTime when = SimTime::us((i * 37) % 1000);
-    sim.merge_append(when, static_cast<std::uint64_t>(i % 5),
-                     [&log, &sim, i] { log.push_back({sim.now().to_ns(), i}); });
-  }
-  sim.merge_commit();
-  sim.run();
-  EXPECT_EQ(sim.pending(), 0u);
-  ASSERT_EQ(log.size(), 1010u);
-  std::int64_t prev = 0;
-  for (const auto& [at, id] : log) {
-    if (at >= 0) {
-      EXPECT_GE(at, prev);
-      prev = at;
-    }
-  }
-}
-
-TEST(MergeAppend, SmallBatchSiftPathMatchesSchedules) {
-  // A 3-event merge into a 100-deep queue stays below the rebuild
-  // threshold: commit() sifts each appended key up instead.
-  auto drive = [](bool merged) {
-    Simulator sim;
-    std::vector<int> log;
-    for (int i = 0; i < 100; ++i) {
-      sim.schedule_at(SimTime::us(i), [&log, i] { log.push_back(1000 + i); });
-    }
-    for (int i = 0; i < 3; ++i) {
-      auto cb = [&log, i] { log.push_back(i); };
-      if (merged) {
-        sim.merge_append(SimTime::us(50 + i), 0, std::move(cb));
-      } else {
-        sim.schedule_at_ranked(SimTime::us(50 + i), 0, std::move(cb));
-      }
-    }
-    if (merged) sim.merge_commit();
-    sim.run();
-    return log;
+  constexpr std::uint64_t kBudget = 1000;
+  std::function<void()> spin;
+  std::uint64_t spins = 0;
+  spin = [&] {
+    ++spins;
+    sim.schedule_at(sim.now(), [&] { spin(); });
   };
-  EXPECT_EQ(drive(true), drive(false));
+  sim.schedule_at(SimTime::us(2), [&] { spin(); });
+  bool later_ran = false;
+  sim.schedule_at(SimTime::us(50), [&] { later_ran = true; });
+
+  const Status st = sim.run_checked(SimTime::max(), kBudget);
+  EXPECT_EQ(st.code(), StatusCode::DeadlineExceeded) << st.to_string();
+  EXPECT_NE(st.message().find("zero-delay"), std::string::npos)
+      << st.message();
+  EXPECT_EQ(spins, kBudget);
+  EXPECT_EQ(sim.now(), SimTime::us(2));
+  EXPECT_FALSE(later_ran);
+  EXPECT_EQ(sim.pending(), 2u);
 }
 
-TEST(MergeAppend, CountsAllocsLikeSchedule) {
-  Simulator sim(16);
-  for (int i = 0; i < 16; ++i) {
-    sim.merge_append(SimTime::us(1), 0, [] {});
+TEST(RunChecked, HealthyRunDrains) {
+  Simulator sim;
+  int fired = 0;
+  for (int i = 1; i <= 20; ++i) {
+    sim.schedule_at(SimTime::us(i), [&] { ++fired; });
   }
-  sim.merge_commit();
-  EXPECT_EQ(sim.stats().allocs, 0u);
-  sim.merge_append(SimTime::us(1), 0, [] {});  // 17th: the heap must grow
-  sim.merge_commit();
-  EXPECT_GT(sim.stats().allocs, 0u);
-  sim.run();
-  EXPECT_EQ(sim.dispatched(), 17u);
+  EXPECT_TRUE(sim.run_checked().ok());
+  EXPECT_EQ(fired, 20);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.now(), SimTime::us(20));
+}
+
+// Same-timestamp bursts up to the budget are legitimate; only a batch that
+// hits the budget with more still pending at that timestamp is a stall.
+TEST(RunChecked, CoTimedBurstUpToTheBudgetIsNotAStall) {
+  Simulator sim;
+  constexpr std::uint64_t kBudget = 64;
+  int fired = 0;
+  for (std::uint64_t i = 0; i < kBudget; ++i) {
+    sim.schedule_at(SimTime::us(3), [&] { ++fired; });
+  }
+  sim.schedule_at(SimTime::us(4), [&] { ++fired; });
+  EXPECT_TRUE(sim.run_checked(SimTime::max(), kBudget).ok());
+  EXPECT_EQ(fired, 65);
+}
+
+TEST(RunChecked, StopsAtTheDeadlineLikeRunUntil) {
+  Simulator sim;
+  std::vector<int> fired;
+  for (int i = 1; i <= 5; ++i) {
+    sim.schedule_at(SimTime::ms(i), [&fired, i] { fired.push_back(i); });
+  }
+  EXPECT_TRUE(sim.run_checked(3_ms).ok());
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.pending(), 2u);
+}
+
+TEST(RunChecked, DispatchingIsTrueOnlyInsideCallbacks) {
+  Simulator sim;
+  EXPECT_FALSE(sim.dispatching());
+  bool inside = false;
+  sim.schedule_at(SimTime::us(1), [&] { inside = sim.dispatching(); });
+  EXPECT_TRUE(sim.run_checked().ok());
+  EXPECT_TRUE(inside);
+  EXPECT_FALSE(sim.dispatching());
 }
 
 }  // namespace

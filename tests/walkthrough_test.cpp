@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "sccpipe/core/walkthrough.hpp"
 #include "sccpipe/filters/filters.hpp"
@@ -367,6 +368,45 @@ TEST_F(WalkthroughFixture, FunctionalOutputIndependentOfTiming) {
   const RunResult ra = run_walkthrough(scene(), trace(), a);
   const RunResult rb = run_walkthrough(scene(), trace(), b);
   EXPECT_EQ(ra.frames[7], rb.frames[7]);
+}
+
+// Differential validation of the cheap model against the detailed one:
+// carrying real pixels through the pipeline must not move a single event,
+// so timed and functional runs agree on the whole schedule.
+TEST_F(WalkthroughFixture, TimedAndFunctionalRunsAgreeOnTiming) {
+  for (const Scenario s : {Scenario::SingleRenderer,
+                           Scenario::RendererPerPipeline,
+                           Scenario::HostRenderer}) {
+    for (const int k : {1, 3, 4}) {
+      RunConfig cfg = config(s, k);
+      const RunResult timed = run_walkthrough(scene(), trace(), cfg);
+      cfg.functional = true;
+      const RunResult functional = run_walkthrough(scene(), trace(), cfg);
+      const std::string label =
+          std::string(scenario_name(s)) + " k=" + std::to_string(k);
+      EXPECT_EQ(functional.frames.size(), 12u) << label;
+      EXPECT_EQ(timed.events_dispatched, functional.events_dispatched)
+          << label;
+      EXPECT_EQ(timed.frame_done_ms, functional.frame_done_ms) << label;
+      EXPECT_EQ(timed.walkthrough, functional.walkthrough) << label;
+    }
+  }
+}
+
+// ---------------------------------------------------------- event queue
+
+// A walkthrough keeps a few dozen events pending at most, well inside the
+// Simulator's default reservation, so a whole run never grows the event
+// containers on either platform.
+TEST_F(WalkthroughFixture, EventQueueNeverAllocatesInSteadyState) {
+  for (const PlatformKind platform :
+       {PlatformKind::Scc, PlatformKind::Cluster}) {
+    RunConfig cfg = config(Scenario::HostRenderer, 3);
+    cfg.platform = platform;
+    const RunResult r = run_walkthrough(scene(), trace(), cfg);
+    EXPECT_EQ(r.sim_stats.allocs, 0u) << "peak=" << r.sim_stats.peak_events;
+    EXPECT_GT(r.sim_stats.peak_events, 0u);
+  }
 }
 
 }  // namespace
