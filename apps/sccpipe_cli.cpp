@@ -10,11 +10,9 @@
 #include <cstdio>
 #include <string>
 
-#include "sccpipe/core/recovery.hpp"
+#include "sccpipe/core/run_flags.hpp"
 #include "sccpipe/core/walkthrough.hpp"
-#include "sccpipe/sim/fault.hpp"
 #include "sccpipe/support/args.hpp"
-#include "sccpipe/support/snapshot.hpp"
 #include "sccpipe/support/table.hpp"
 
 // Exit codes: 0 ok, 1 run failed gracefully (typed fault), 2 bad flags,
@@ -23,131 +21,19 @@
 
 using namespace sccpipe;
 
-namespace {
-
-bool parse_scenario(const std::string& v, Scenario* out) {
-  if (v == "1-rend" || v == "single-renderer") {
-    *out = Scenario::SingleRenderer;
-  } else if (v == "n-rend" || v == "renderer-per-pipeline") {
-    *out = Scenario::RendererPerPipeline;
-  } else if (v == "mcpc" || v == "host" || v == "external") {
-    *out = Scenario::HostRenderer;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool parse_arrangement(const std::string& v, Arrangement* out) {
-  if (v == "unordered") {
-    *out = Arrangement::Unordered;
-  } else if (v == "ordered") {
-    *out = Arrangement::Ordered;
-  } else if (v == "flipped") {
-    *out = Arrangement::Flipped;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// Comma-split a repeated fault flag ("5@100,9@250") into individual plan
-/// entries, each parsed through the shared fault grammar.
-bool parse_fault_list(const std::string& text, const char* flag,
-                      const char* kind, FaultPlan* plan) {
-  if (text.empty()) return true;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string item =
-        text.substr(pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-    const Status st = plan->parse(std::string(kind) + "=" + item);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: bad --%s: %s\n", flag,
-                   st.message().c_str());
-      return false;
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   ArgParser args;
   args.add_flag("scenario", "1-rend | n-rend | mcpc", "mcpc");
   args.add_flag("arrangement", "unordered | ordered | flipped", "ordered");
   args.add_flag("platform", "scc | cluster", "scc");
-  args.add_flag("pipelines", "number of parallel pipelines (1..8)", "4");
-  args.add_flag("frames", "walkthrough length", "400");
-  args.add_flag("size", "frame side length in pixels", "400");
+  args.add_flag("pipelines", "parallel pipelines (must fit the chip)", "4");
+  add_run_flags(args);
   args.add_flag("blur-mhz", "blur tile frequency (400/533/800/1066; 0=default)", "0");
   args.add_flag("tail-mhz", "post-blur stage frequency (0=default)", "0");
   args.add_flag("isolate-blur", "place blur alone on its tile (Fig. 18)", "false");
   args.add_flag("seed", "scratch/flicker random seed", "42");
-  args.add_flag("fault-plan",
-                "fault plan, e.g. 'rcce-drop=0.01;link-down=2' "
-                "(grammar: docs/MODEL.md)", "");
   args.add_flag("fault-seed",
                 "fault schedule RNG seed (0 = keep the plan's seed)", "0");
-  args.add_flag("core-fail",
-                "fail-stop core fault(s), '<core>@<ms>' comma-separated, "
-                "e.g. '5@100,9@250'", "");
-  args.add_flag("slow-core",
-                "fail-slow core fate(s), '<core>:<factor>@<ms>' "
-                "comma-separated, e.g. '5:4@100'", "");
-  args.add_flag("degraded-link",
-                "degraded mesh link(s), '<tileA>-<tileB>:<factor>@<ms>' "
-                "comma-separated (adjacent tiles only)", "");
-  args.add_flag("stall",
-                "intermittent core stall train(s), "
-                "'<core>:<period_ms>:<duration_ms>' comma-separated", "");
-  args.add_flag("heartbeat-ms", "supervisor heartbeat period [ms]", "10");
-  args.add_flag("detect-ms", "heartbeat silence declared a failure [ms]", "25");
-  args.add_flag("max-spares",
-                "spare cores recovery may consume (-1 = all)", "-1");
-  args.add_flag("gray-detect-factor",
-                "flag a core gray when its normalized service time exceeds "
-                "this multiple of the pipeline median for "
-                "--gray-detect-windows consecutive windows (0 = off)", "0");
-  args.add_flag("gray-detect-windows",
-                "consecutive over-threshold windows before a gray flag", "3");
-  args.add_flag("gray-policy",
-                "mitigation ladder ceiling: off | dvfs | migrate | rebalance",
-                "rebalance");
-  args.add_flag("rcce-retries",
-                "transport attempts per message under fault injection", "1");
-  args.add_flag("rcce-timeout-ms",
-                "per-attempt loss-detection timeout [ms]", "50");
-  args.add_flag("offered-fps",
-                "open-loop offered load at the host feeder [frames/s] "
-                "(0 = paper's closed loop)", "0");
-  args.add_flag("window",
-                "ARQ send window on the host link (0 = stop-and-wait)", "0");
-  args.add_flag("queue-depth",
-                "bounded queue depth: feeder, ARQ receiver, credited "
-                "inter-stage channels (0 = rendezvous lockstep)", "0");
-  args.add_flag("frame-deadline-ms",
-                "shed frames older than this at feeder dequeue (0 = off)",
-                "0");
-  args.add_flag("breaker-threshold",
-                "consecutive host-transport failures that trip the circuit "
-                "breaker (0 = off)", "0");
-  args.add_flag("breaker-cooldown-ms",
-                "open-breaker cooldown before the half-open probe [ms]",
-                "250");
-  args.add_flag("checkpoint-every",
-                "write a run snapshot every N delivered frames (0 = off)",
-                "0");
-  args.add_flag("checkpoint-file",
-                "snapshot path, written atomically (tmp + rename)", "");
-  args.add_flag("resume",
-                "load --checkpoint-file, verify it by deterministic replay "
-                "and continue past the crash that ended the previous attempt",
-                "false");
   args.add_flag("csv", "emit one CSV row instead of tables", "false");
   args.add_flag("timeline", "write a chrome://tracing JSON to this path", "");
   args.add_flag("stages", "print the per-stage report", "true");
@@ -170,105 +56,32 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  RunConfig cfg;
-  if (!parse_scenario(args.get("scenario"), &cfg.scenario)) {
-    std::fprintf(stderr, "error: unknown scenario '%s'\n",
-                 args.get("scenario").c_str());
-    return 2;
-  }
-  if (!parse_arrangement(args.get("arrangement"), &cfg.arrangement)) {
-    std::fprintf(stderr, "error: unknown arrangement '%s'\n",
-                 args.get("arrangement").c_str());
-    return 2;
-  }
-  cfg.platform = args.get("platform") == "cluster" ? PlatformKind::Cluster
-                                                   : PlatformKind::Scc;
-  cfg.pipelines = args.get_int("pipelines");
-  cfg.blur_mhz = args.get_int("blur-mhz");
-  cfg.tail_mhz = args.get_int("tail-mhz");
+  // Every rejection below is a typed Status and exits 2 before the scene
+  // is built; which combinations are illegal is validate()'s business.
+  RunFlags run;
+  RunConfig& cfg = run.cfg;
+  int seed = 0;
+  int fault_seed = 0;
+  Status st = args.get_int("pipelines", &cfg.pipelines);
+  st.update(read_run_flags(args, CheckpointFiles::Single, cfg.pipelines, &run));
+  st.update(parse_scenario(args.get("scenario"), &cfg.scenario));
+  st.update(parse_arrangement(args.get("arrangement"), &cfg.arrangement));
+  st.update(parse_platform(args.get("platform"), &cfg.platform));
+  st.update(args.get_int("blur-mhz", &cfg.blur_mhz));
+  st.update(args.get_int("tail-mhz", &cfg.tail_mhz));
+  st.update(args.get_int("seed", &seed));
+  st.update(args.get_int("fault-seed", &fault_seed));
   cfg.isolate_blur_tile = args.get_bool("isolate-blur");
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-
-  const std::string fault_plan = args.get("fault-plan");
-  if (!fault_plan.empty()) {
-    const Status st = cfg.fault.parse(fault_plan);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: bad --fault-plan: %s\n",
-                   st.message().c_str());
-      return 2;
-    }
-  }
-  if (!parse_fault_list(args.get("core-fail"), "core-fail", "core-fail",
-                        &cfg.fault) ||
-      !parse_fault_list(args.get("slow-core"), "slow-core", "slow-core",
-                        &cfg.fault) ||
-      !parse_fault_list(args.get("degraded-link"), "degraded-link",
-                        "degraded-link", &cfg.fault) ||
-      !parse_fault_list(args.get("stall"), "stall", "intermittent-stall",
-                        &cfg.fault)) {
-    return 2;
-  }
-  if (args.get_int("fault-seed") > 0) {
-    cfg.fault.seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
-  }
-  cfg.recovery.heartbeat_period = SimTime::ms(args.get_double("heartbeat-ms"));
-  cfg.recovery.detection_deadline = SimTime::ms(args.get_double("detect-ms"));
-  cfg.recovery.max_spares = args.get_int("max-spares");
-  if (const Status st = validate_recovery(cfg.recovery); !st.ok()) {
+  cfg.seed = static_cast<std::uint64_t>(seed);
+  if (fault_seed > 0) cfg.fault.seed = static_cast<std::uint64_t>(fault_seed);
+  st.update(validate(cfg));
+  if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
-    return 2;
-  }
-  cfg.gray.detect_factor = args.get_double("gray-detect-factor");
-  cfg.gray.detect_windows = args.get_int("gray-detect-windows");
-  if (const Status st = parse_gray_policy(args.get("gray-policy"),
-                                          &cfg.gray.policy);
-      !st.ok()) {
-    std::fprintf(stderr, "error: bad --gray-policy: %s\n",
-                 st.message().c_str());
-    return 2;
-  }
-  if (const Status st = validate_gray(cfg.gray); !st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
-    return 2;
-  }
-  cfg.checkpoint.every_frames = args.get_int("checkpoint-every");
-  cfg.checkpoint.file = args.get("checkpoint-file");
-  cfg.checkpoint.resume = args.get_bool("resume");
-  if (const Status st = snapshot::validate_checkpoint_args(
-          cfg.checkpoint.every_frames, args.has("checkpoint-every"),
-          cfg.checkpoint.file, cfg.checkpoint.resume);
-      !st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
-    return 2;
-  }
-  cfg.rcce.retry.max_attempts = args.get_int("rcce-retries");
-  cfg.rcce.retry.timeout = SimTime::ms(args.get_double("rcce-timeout-ms"));
-  cfg.overload.offered_fps = args.get_double("offered-fps");
-  cfg.overload.window = args.get_int("window");
-  cfg.overload.queue_depth = args.get_int("queue-depth");
-  cfg.overload.frame_deadline =
-      SimTime::ms(args.get_double("frame-deadline-ms"));
-  cfg.overload.breaker_threshold = args.get_int("breaker-threshold");
-  cfg.overload.breaker_cooldown =
-      SimTime::ms(args.get_double("breaker-cooldown-ms"));
-  if ((cfg.fault.host_reorder_rate > 0.0 ||
-       cfg.fault.host_duplicate_rate > 0.0) &&
-      cfg.overload.window <= 0 && cfg.scenario == Scenario::HostRenderer) {
-    std::fprintf(stderr,
-                 "error: reorder=/duplicate= fates on the host feed need the "
-                 "sliding-window transport; pass --window > 0\n");
-    return 2;
-  }
-  if (cfg.gray.enabled() && cfg.overload.enabled()) {
-    std::fprintf(stderr,
-                 "error: --gray-detect-factor cannot be combined with the "
-                 "overload data plane flags (open-loop feeder, ARQ window, "
-                 "bounded queues)\n");
     return 2;
   }
 
-  const int frames = args.get_int("frames");
-  const int size = args.get_int("size");
+  const int frames = run.frames;
+  const int size = run.size;
   std::fprintf(stderr, "[sccpipe] building scene (%d frames at %dx%d)...\n",
                frames, size, size);
   SceneBundle scene(CityParams{}, CameraConfig{}, size, frames);
@@ -317,7 +130,7 @@ int main(int argc, char** argv) {
     std::printf("%s,%s,%s,%d,%d,%.3f,%.2f,%.1f,%.3f,%.1f,%d,%d,%d,%d,%d,"
                 "%.3f,%.3f,%d,%d,%d,%d,%d,%d,%llu,%.3f,%s\n",
                 scenario_name(cfg.scenario), arrangement_name(cfg.arrangement),
-                cfg.platform == PlatformKind::Scc ? "scc" : "cluster",
+                platform_name(cfg.platform),
                 cfg.pipelines, frames, r.walkthrough.to_sec(),
                 r.mean_chip_watts, r.chip_energy_joules, r.host_busy_sec,
                 r.host_extra_energy_joules, r.recovery.failures_detected,

@@ -19,60 +19,43 @@
 
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "sccpipe/core/recovery.hpp"
+#include <unistd.h>
+
+#include "sccpipe/core/run_flags.hpp"
 #include "sccpipe/core/walkthrough.hpp"
 #include "sccpipe/exec/executor.hpp"
-#include "sccpipe/sim/fault.hpp"
 #include "sccpipe/support/args.hpp"
-#include "sccpipe/support/snapshot.hpp"
 
 using namespace sccpipe;
 
 namespace {
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-/// "1-7" or "3" or "1,3,5" -> list of ints.
-std::vector<int> parse_range(const std::string& s) {
-  std::vector<int> out;
-  for (const std::string& part : split_csv(s)) {
-    const auto dash = part.find('-');
-    if (dash != std::string::npos) {
-      const int lo = std::atoi(part.substr(0, dash).c_str());
-      const int hi = std::atoi(part.substr(dash + 1).c_str());
-      for (int v = lo; v <= hi; ++v) out.push_back(v);
-    } else {
-      out.push_back(std::atoi(part.c_str()));
+/// Parse every item of a comma list flag with a name parser; an unknown
+/// item or an empty list is an error, never skipped.
+template <typename T>
+Status parse_list(const ArgParser& args, const char* flag,
+                  Status (*parse)(const std::string&, T*),
+                  std::vector<T>* out) {
+  for (const std::string& item : split_list(args.get(flag))) {
+    T v{};
+    if (const Status st = parse(item, &v); !st.ok()) {
+      return Status(st.code(), std::string("--") + flag + ": " + st.message());
     }
+    out->push_back(v);
   }
-  return out;
+  if (!out->empty()) return Status();
+  return Status(StatusCode::InvalidArgument,
+                std::string("--") + flag + " names nothing to run");
 }
 
 struct GridRun {
   RunConfig cfg;
-  std::string platform_label;
   double wall_sec = 0.0;  // host wall-clock of this run (perf record only)
   RunResult result;
 };
-
-bool file_exists(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fclose(f);
-  return true;
-}
 
 double now_sec() {
   return std::chrono::duration<double>(
@@ -108,7 +91,7 @@ void write_bench_json(const std::string& path, int jobs, double wall_sec,
         "\"platform\": \"%s\", \"pipelines\": %d, \"walkthrough_s\": %.3f, "
         "\"events\": %llu, \"wall_s\": %.3f}%s\n",
         scenario_name(r.cfg.scenario), arrangement_name(r.cfg.arrangement),
-        r.platform_label.c_str(), r.cfg.pipelines,
+        platform_name(r.cfg.platform), r.cfg.pipelines,
         r.result.walkthrough.to_sec(),
         static_cast<unsigned long long>(r.result.events_dispatched),
         r.wall_sec, i + 1 < runs.size() ? "," : "");
@@ -128,8 +111,6 @@ int main(int argc, char** argv) {
                 "ordered");
   args.add_flag("platforms", "comma list: scc,cluster", "scc");
   args.add_flag("pipelines", "range, e.g. 1-7 or 2,4,6", "1-7");
-  args.add_flag("frames", "walkthrough length", "400");
-  args.add_flag("size", "frame side length", "400");
   args.add_flag("jobs",
                 "parallel runs (0 = all cores; env SCCPIPE_JOBS overrides "
                 "the default)",
@@ -137,64 +118,7 @@ int main(int argc, char** argv) {
   args.add_flag("bench-json",
                 "perf record path, or 'none' to disable",
                 "BENCH_sweep.json");
-  args.add_flag("fault-plan",
-                "fault plan applied to every run (see sccpipe --help)", "");
-  args.add_flag("core-fail",
-                "fail-stop core(s): '<core>@<ms>' comma-separated, "
-                "e.g. '5@100,9@250'",
-                "");
-  args.add_flag("slow-core",
-                "fail-slow core fate(s): '<core>:<factor>@<ms>' "
-                "comma-separated, e.g. '5:4@100'", "");
-  args.add_flag("degraded-link",
-                "degraded mesh link(s): '<tileA>-<tileB>:<factor>@<ms>' "
-                "comma-separated (adjacent tiles only)", "");
-  args.add_flag("stall",
-                "intermittent core stall train(s): "
-                "'<core>:<period_ms>:<duration_ms>' comma-separated", "");
-  args.add_flag("heartbeat-ms", "supervisor heartbeat period [ms]", "10");
-  args.add_flag("detect-ms", "heartbeat silence declared a failure [ms]",
-                "25");
-  args.add_flag("max-spares",
-                "spare cores the supervisor may promote (-1 = all)", "-1");
-  args.add_flag("gray-detect-factor",
-                "flag a core gray when its normalized service time exceeds "
-                "this multiple of the pipeline median for "
-                "--gray-detect-windows consecutive windows (0 = off)", "0");
-  args.add_flag("gray-detect-windows",
-                "consecutive over-threshold windows before a gray flag", "3");
-  args.add_flag("gray-policy",
-                "mitigation ladder ceiling: off | dvfs | migrate | rebalance",
-                "rebalance");
-  args.add_flag("offered-fps",
-                "open-loop offered load at the host feeder [frames/s] "
-                "(0 = closed loop; mcpc runs only)", "0");
-  args.add_flag("window",
-                "ARQ send window on the host link (0 = stop-and-wait)", "0");
-  args.add_flag("queue-depth",
-                "bounded queue depth for feeder/link/stage queues (0 = "
-                "rendezvous lockstep)", "0");
-  args.add_flag("frame-deadline-ms",
-                "shed frames older than this at feeder dequeue (0 = off)",
-                "0");
-  args.add_flag("breaker-threshold",
-                "consecutive host-transport failures that trip the breaker "
-                "(0 = off)", "0");
-  args.add_flag("breaker-cooldown-ms",
-                "open-breaker cooldown before the half-open probe [ms]",
-                "250");
-  args.add_flag("rcce-retries",
-                "transport attempts per message under fault injection", "1");
-  args.add_flag("rcce-timeout-ms",
-                "per-attempt loss-detection timeout [ms]", "50");
-  args.add_flag("checkpoint-every",
-                "write per-run snapshots every N delivered frames (0 = off)",
-                "0");
-  args.add_flag("checkpoint-file",
-                "snapshot base path; run i writes '<path>.<i>'", "");
-  args.add_flag("resume",
-                "resume each run whose per-run snapshot exists "
-                "(verify-by-replay)", "false");
+  add_run_flags(args);
   args.add_flag("help", "show this help", "false");
   if (!args.parse(argc, argv) || args.get_bool("help")) {
     std::fprintf(stderr, "%s%s", args.error().empty() ? "" :
@@ -205,169 +129,65 @@ int main(int argc, char** argv) {
 
   // One fault plan + recovery config shared by every grid point (the seed
   // keeps each run deterministic regardless of worker interleaving).
-  FaultPlan fault;
-  if (!args.get("fault-plan").empty()) {
-    const Status st = fault.parse(args.get("fault-plan"));
-    if (!st.ok()) {
-      std::fprintf(stderr, "[sweep] bad --fault-plan: %s\n",
-                   st.to_string().c_str());
-      return 2;
-    }
-  }
-  const struct {
-    const char* flag;
-    const char* kind;
-  } fault_flags[] = {{"core-fail", "core-fail"},
-                     {"slow-core", "slow-core"},
-                     {"degraded-link", "degraded-link"},
-                     {"stall", "intermittent-stall"}};
-  for (const auto& ff : fault_flags) {
-    for (const std::string& item : split_csv(args.get(ff.flag))) {
-      const Status st = fault.parse(std::string(ff.kind) + "=" + item);
-      if (!st.ok()) {
-        std::fprintf(stderr, "[sweep] bad --%s: %s\n", ff.flag,
-                     st.to_string().c_str());
-        return 2;
-      }
-    }
-  }
-  RecoveryConfig recovery;
-  recovery.heartbeat_period = SimTime::ms(args.get_double("heartbeat-ms"));
-  recovery.detection_deadline = SimTime::ms(args.get_double("detect-ms"));
-  recovery.max_spares = args.get_int("max-spares");
-  if (const Status st = validate_recovery(recovery); !st.ok()) {
-    std::fprintf(stderr, "[sweep] error: %s\n", st.to_string().c_str());
-    return 2;
-  }
-  GrayConfig gray;
-  gray.detect_factor = args.get_double("gray-detect-factor");
-  gray.detect_windows = args.get_int("gray-detect-windows");
-  if (const Status st = parse_gray_policy(args.get("gray-policy"),
-                                          &gray.policy);
-      !st.ok()) {
-    std::fprintf(stderr, "[sweep] bad --gray-policy: %s\n",
-                 st.to_string().c_str());
-    return 2;
-  }
-  if (const Status st = validate_gray(gray); !st.ok()) {
-    std::fprintf(stderr, "[sweep] error: %s\n", st.to_string().c_str());
-    return 2;
-  }
-  CheckpointConfig checkpoint;
-  checkpoint.every_frames = args.get_int("checkpoint-every");
-  checkpoint.file = args.get("checkpoint-file");
-  checkpoint.resume = args.get_bool("resume");
-  if (const Status st = snapshot::validate_checkpoint_args(
-          checkpoint.every_frames, args.has("checkpoint-every"),
-          checkpoint.file, /*resume=*/false);
-      !st.ok()) {
-    // Resume readability is checked per run below (each run has its own
-    // '<path>.<i>' file; only the base path + directory validate here).
-    std::fprintf(stderr, "[sweep] error: %s\n", st.to_string().c_str());
-    return 2;
-  }
-  if (checkpoint.resume && checkpoint.file.empty()) {
-    std::fprintf(stderr,
-                 "[sweep] error: --resume needs --checkpoint-file <base>\n");
-    return 2;
-  }
-
-  OverloadConfig overload;
-  overload.offered_fps = args.get_double("offered-fps");
-  overload.window = args.get_int("window");
-  overload.queue_depth = args.get_int("queue-depth");
-  overload.frame_deadline = SimTime::ms(args.get_double("frame-deadline-ms"));
-  overload.breaker_threshold = args.get_int("breaker-threshold");
-  overload.breaker_cooldown =
-      SimTime::ms(args.get_double("breaker-cooldown-ms"));
-  if (overload.enabled() && args.get("scenarios") != "mcpc") {
-    std::fprintf(stderr,
-                 "[sweep] overload flags apply to the host feed path; pass "
-                 "--scenarios mcpc\n");
-    return 2;
-  }
-  if (gray.enabled() && overload.enabled()) {
-    std::fprintf(stderr,
-                 "[sweep] --gray-detect-factor cannot be combined with the "
-                 "overload data plane flags\n");
-    return 2;
-  }
-  RetryPolicy retry;
-  retry.max_attempts = args.get_int("rcce-retries");
-  retry.timeout = SimTime::ms(args.get_double("rcce-timeout-ms"));
-
-  const std::vector<int> pipeline_list = parse_range(args.get("pipelines"));
+  RunFlags shared;
+  std::vector<Scenario> scenarios;
+  std::vector<Arrangement> arrangements;
+  std::vector<PlatformKind> platforms;
+  std::vector<int> pipeline_list;
+  int jobs = 0;
+  Status st = parse_pipeline_list(args.get("pipelines"), &pipeline_list);
   int max_k = 1;
   for (const int k : pipeline_list) max_k = std::max(max_k, k);
-  int jobs = args.get_int("jobs");
+  st.update(read_run_flags(args, CheckpointFiles::PerRun, max_k, &shared));
+  st.update(parse_list(args, "scenarios", parse_scenario, &scenarios));
+  st.update(parse_list(args, "arrangements", parse_arrangement, &arrangements));
+  st.update(parse_list(args, "platforms", parse_platform, &platforms));
+  st.update(args.get_int("jobs", &jobs));
+  if (!st.ok()) {
+    std::fprintf(stderr, "[sweep] error: %s\n", st.to_string().c_str());
+    return 2;
+  }
   if (jobs <= 0) jobs = exec::default_jobs();
 
-  const int frames = args.get_int("frames");
-  const int size = args.get_int("size");
-  std::fprintf(stderr, "[sweep] scene + trace (%d frames, %dx%d, max k %d)\n",
-               frames, size, size, max_k);
-  SceneBundle scene(CityParams{}, CameraConfig{}, size, frames);
-  const WorkloadTrace trace =
-      WorkloadTrace::build(scene, max_k, exec::trace_runner(jobs));
-
-  // Expand the grid up front; the runs are independent deterministic
-  // simulations, so they execute in parallel and report in grid order.
+  // Expand the grid up front and validate every run before any scene is
+  // built; the runs are independent deterministic simulations, so they
+  // execute in parallel and report in grid order.
+  const CheckpointConfig& checkpoint = shared.cfg.checkpoint;
   std::vector<GridRun> runs;
-  for (const std::string& sc : split_csv(args.get("scenarios"))) {
-    Scenario scenario;
-    if (sc == "1-rend") {
-      scenario = Scenario::SingleRenderer;
-    } else if (sc == "n-rend") {
-      scenario = Scenario::RendererPerPipeline;
-    } else if (sc == "mcpc") {
-      scenario = Scenario::HostRenderer;
-    } else {
-      std::fprintf(stderr, "[sweep] skipping unknown scenario '%s'\n",
-                   sc.c_str());
-      continue;
-    }
-    for (const std::string& ar : split_csv(args.get("arrangements"))) {
-      Arrangement arrangement;
-      if (ar == "unordered") {
-        arrangement = Arrangement::Unordered;
-      } else if (ar == "ordered") {
-        arrangement = Arrangement::Ordered;
-      } else if (ar == "flipped") {
-        arrangement = Arrangement::Flipped;
-      } else {
-        std::fprintf(stderr, "[sweep] skipping unknown arrangement '%s'\n",
-                     ar.c_str());
-        continue;
-      }
-      for (const std::string& pf : split_csv(args.get("platforms"))) {
-        const PlatformKind platform =
-            pf == "cluster" ? PlatformKind::Cluster : PlatformKind::Scc;
+  for (const Scenario scenario : scenarios) {
+    for (const Arrangement arrangement : arrangements) {
+      for (const PlatformKind platform : platforms) {
         for (const int k : pipeline_list) {
           GridRun gr;
+          gr.cfg = shared.cfg;
           gr.cfg.scenario = scenario;
           gr.cfg.arrangement = arrangement;
           gr.cfg.platform = platform;
           gr.cfg.pipelines = k;
-          gr.cfg.fault = fault;
-          gr.cfg.recovery = recovery;
-          gr.cfg.gray = gray;
-          gr.cfg.overload = overload;
-          gr.cfg.rcce.retry = retry;
           if (checkpoint.enabled()) {
-            gr.cfg.checkpoint = checkpoint;
             gr.cfg.checkpoint.file =
                 checkpoint.file + "." + std::to_string(runs.size());
             // Only runs whose previous attempt left a snapshot resume;
             // the rest start fresh (their file does not exist yet).
             gr.cfg.checkpoint.resume =
-                checkpoint.resume && file_exists(gr.cfg.checkpoint.file);
+                checkpoint.resume &&
+                access(gr.cfg.checkpoint.file.c_str(), F_OK) == 0;
           }
-          gr.platform_label = pf;
+          if (const Status bad = validate(gr.cfg); !bad.ok()) {
+            std::fprintf(stderr, "[sweep] error: run %zu: %s\n", runs.size(),
+                         bad.to_string().c_str());
+            return 2;
+          }
           runs.push_back(std::move(gr));
         }
       }
     }
   }
+  std::fprintf(stderr, "[sweep] scene + trace (%d frames, %dx%d, max k %d)\n",
+               shared.frames, shared.size, shared.size, max_k);
+  SceneBundle scene(CityParams{}, CameraConfig{}, shared.size, shared.frames);
+  const WorkloadTrace trace =
+      WorkloadTrace::build(scene, max_k, exec::trace_runner(jobs));
 
   std::fprintf(stderr, "[sweep] %zu runs on %d jobs\n", runs.size(), jobs);
   const double t0 = now_sec();
@@ -423,7 +243,7 @@ int main(int argc, char** argv) {
                 "%d,%d,%d,%d,%d,%d,%llu,%.3f,%s\n",
                 scenario_name(gr.cfg.scenario),
                 arrangement_name(gr.cfg.arrangement),
-                gr.platform_label.c_str(), gr.cfg.pipelines,
+                platform_name(gr.cfg.platform), gr.cfg.pipelines,
                 r.walkthrough.to_sec(), r.mean_chip_watts,
                 r.chip_energy_joules, r.host_busy_sec,
                 r.host_extra_energy_joules,

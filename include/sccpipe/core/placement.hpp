@@ -14,15 +14,19 @@
 /// An optional DVFS-isolated mode places the blur stage alone on its own
 /// tile so its frequency/voltage can be raised independently (Fig. 18).
 
+#include <string>
 #include <vector>
 
 #include "sccpipe/noc/topology.hpp"
+#include "sccpipe/support/status.hpp"
 
 namespace sccpipe {
 
 enum class Arrangement { Unordered, Ordered, Flipped };
 
 const char* arrangement_name(Arrangement a);
+/// Parse "unordered" | "ordered" | "flipped".
+Status parse_arrangement(const std::string& text, Arrangement* out);
 
 struct PlacementRequest {
   int pipelines = 1;
@@ -51,8 +55,14 @@ struct Placement {
   std::vector<CoreId> all_cores() const;
 };
 
-/// Compute the placement; throws CheckError if the chip cannot host the
-/// requested configuration.
+/// Whether the chip can host the request in this arrangement: the one
+/// capacity rule, shared by make_placement() and run-config validation.
+/// Typed InvalidArgument saying what does not fit.
+Status placement_fit(const MeshTopology& topo, Arrangement arrangement,
+                     const PlacementRequest& request);
+
+/// Compute the placement; throws CheckError when placement_fit() rejects
+/// the request.
 Placement make_placement(const MeshTopology& topo, Arrangement arrangement,
                          const PlacementRequest& request);
 

@@ -40,9 +40,9 @@ namespace sccpipe {
 /// Tuning of the heartbeat/watchdog protocol and the remap policy.
 struct RecoveryConfig {
   SimTime heartbeat_period = SimTime::ms(10);
-  /// Silence longer than this declares the core dead. Must comfortably
-  /// exceed one period plus a mesh transit, or healthy-but-congested cores
-  /// get declared dead spuriously.
+  /// Silence longer than this declares the core dead. validate() (see
+  /// core/walkthrough.hpp) requires two heartbeat periods: any less and one
+  /// heartbeat a mesh transit late reads as a death.
   SimTime detection_deadline = SimTime::ms(25);
   double heartbeat_bytes = 64.0;  ///< one liveness datagram
   /// Cap on how many spare cores a run may consume (-1 = all the placement
@@ -50,15 +50,6 @@ struct RecoveryConfig {
   /// spare-exhaustion tests.
   int max_spares = -1;
 };
-
-/// Parse-time validation of a recovery config. Typed InvalidArgument when the heartbeat
-/// period is non-positive or when detection_deadline < 2 * heartbeat_period
-/// — below that bound a single heartbeat arriving one mesh transit late can
-/// be declared a death, so the watchdog would fire spuriously on healthy
-/// congested runs. The Supervisor constructor only CHECKs the weaker
-/// deadline > period invariant; callers parsing user flags should reject
-/// through here first so the failure is a typed error, not an abort.
-Status validate_recovery(const RecoveryConfig& cfg);
 
 /// How far up the mitigation ladder the walkthrough driver may climb when
 /// the gray detector flags a straggler. Each level includes the ones below
@@ -93,11 +84,6 @@ struct GrayConfig {
 
   bool enabled() const { return detect_factor > 0.0; }
 };
-
-/// Typed validation of the gray-detector flags: detect_factor must exceed 1
-/// (at 1 the median core itself sits on the threshold) and detect_windows
-/// must be positive. A disabled config (factor 0) is always valid.
-Status validate_gray(const GrayConfig& cfg);
 
 /// Trigger evidence handed to the gray handler alongside the flag — the
 /// exact numbers the detector compared, so every mitigation action in the

@@ -8,6 +8,7 @@
 /// walkthrough time, per-stage busy/idle statistics, power trace, energy.
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sccpipe/core/calibration.hpp"
@@ -38,6 +39,9 @@ enum class Scenario {
 };
 
 const char* scenario_name(Scenario s);
+/// Parse a command-line scenario name: "1-rend", "n-rend", "mcpc" or their
+/// aliases (single-renderer, renderer-per-pipeline, host, external).
+Status parse_scenario(const std::string& text, Scenario* out);
 
 /// Which hardware the pipelines run on.
 enum class PlatformKind {
@@ -45,6 +49,10 @@ enum class PlatformKind {
   Cluster,  ///< one Mogon HPC node (Fig. 13); HostRenderer becomes the
             ///< "external renderer" configuration
 };
+
+/// "scc" / "cluster", the spelling parse_platform() accepts.
+const char* platform_name(PlatformKind p);
+Status parse_platform(const std::string& text, PlatformKind* out);
 
 /// Crash-durability knobs: periodic run snapshots plus resume-by-replay.
 /// Default-off, and a disabled config leaves the run bit-identical to one
@@ -112,17 +120,15 @@ struct RunConfig {
   /// Overload-robust data plane (see core/overload.hpp): reliable ARQ host
   /// transport, credit-based backpressure, admission control / shedding /
   /// circuit breaker. Default-off: a disabled config keeps the legacy
-  /// closed-loop run bit-identical. Only meaningful for HostRenderer runs;
-  /// cannot be combined with planned core failures (the supervisor rebuild
-  /// assumes rendezvous channels).
+  /// closed-loop run bit-identical. The combinations it excludes are
+  /// listed once, in validate().
   OverloadConfig overload{};
 
   /// Gray-failure tolerance (see core/recovery.hpp GrayConfig): service-
   /// time outlier detection on the heartbeat tick plus the mitigation
   /// ladder (DVFS boost -> drain-migrate -> rebalance). Default-off; when
   /// armed it builds the Supervisor even without planned core failures.
-  /// Cannot be combined with the overload data plane (the gray ledger
-  /// assumes the closed-loop frame accounting).
+  /// See validate() for what it cannot be combined with.
   GrayConfig gray{};
 
   /// Crash-durable run layer (see CheckpointConfig): periodic snapshots,
@@ -133,6 +139,13 @@ struct RunConfig {
   /// export; see timeline.hpp). Must outlive the run.
   TimelineRecorder* timeline = nullptr;
 };
+
+/// The one table of illegal RunConfig combinations (the rules live in
+/// walkthrough.cpp): typed InvalidArgument naming the offending flag, or
+/// Ok. The apps call it before building a scene and exit 2 on rejection;
+/// run_walkthrough() CHECKs it, so library callers keep the CheckError
+/// contract.
+Status validate(const RunConfig& cfg);
 
 struct StageReport {
   StageKind kind{};

@@ -114,14 +114,4 @@ Status write_file_atomic(const std::string& path,
 /// cannot be opened; the caller validates the frame via Reader::open().
 Status read_file(const std::string& path, std::vector<std::uint8_t>* out);
 
-/// Validate the CLI checkpoint flag combination before a run starts:
-///   * every_frames <= 0 while a checkpoint path is set -> InvalidArgument
-///   * checkpointing or resume requested without a path  -> InvalidArgument
-///   * the checkpoint file's directory is not writable   -> InvalidArgument
-///   * resume without an existing readable file          -> NotFound
-/// \p every_set marks an explicitly passed --checkpoint-every (the default
-/// 0 with no path is simply "checkpointing off" and valid).
-Status validate_checkpoint_args(int every_frames, bool every_set,
-                                const std::string& path, bool resume);
-
 }  // namespace sccpipe::snapshot

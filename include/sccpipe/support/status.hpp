@@ -40,6 +40,11 @@ class Status {
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
 
+  /// Keep the first error: an Ok status takes \p next, an error stays.
+  void update(Status next) {
+    if (ok()) *this = std::move(next);
+  }
+
   /// "RetriesExhausted: rcce 3->5 gave up after 4 attempts" (or "Ok").
   std::string to_string() const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sccpipe/support/args.hpp"
 #include "sccpipe/support/check.hpp"
 
 namespace sccpipe {
@@ -13,6 +14,14 @@ const char* arrangement_name(Arrangement a) {
     case Arrangement::Flipped: return "flipped";
   }
   return "?";
+}
+
+Status parse_arrangement(const std::string& text, Arrangement* out) {
+  return parse_choice<Arrangement>(text,
+                                   {{"unordered", Arrangement::Unordered},
+                                    {"ordered", Arrangement::Ordered},
+                                    {"flipped", Arrangement::Flipped}},
+                                   "arrangement", out);
 }
 
 std::vector<CoreId> Placement::all_cores() const {
@@ -62,62 +71,84 @@ std::vector<std::vector<CoreId>> make_slots(const MeshTopology& topo,
   return slots;
 }
 
+/// Cores of the unordered walk in plain id order: producer, pipelines back
+/// to back, transfer. Core ids are not bounds-checked here; \p used returns
+/// how many cores the walk consumed (skipped blur-tile siblings included).
+Placement place_unordered(int cpt, const PlacementRequest& req, int* used) {
+  Placement out;
+  out.pipeline_cores.resize(static_cast<std::size_t>(req.pipelines));
+  CoreId next = 0;
+  if (req.needs_producer) out.producer = next++;
+  for (int p = 0; p < req.pipelines; ++p) {
+    auto& cores = out.pipeline_cores[static_cast<std::size_t>(p)];
+    for (int s = 0; s < req.stages_per_pipeline; ++s) {
+      if (req.isolate_blur_tile && s == req.stages_per_pipeline - 4) {
+        // Blur (second filter stage): skip to the next empty tile and
+        // reserve it whole.
+        while (next % cpt != 0) ++next;
+        cores.push_back(next++);
+        while (next % cpt != 0) ++next;  // leave the tile's sibling idle
+        continue;
+      }
+      cores.push_back(next++);
+    }
+  }
+  out.transfer = next++;
+  *used = next;
+  return out;
+}
+
 }  // namespace
+
+Status placement_fit(const MeshTopology& topo, Arrangement arrangement,
+                     const PlacementRequest& req) {
+  const int cores = topo.core_count();
+  const int row = topo.layout().width * topo.layout().cores_per_tile;
+  const int slot = req.stages_per_pipeline + (req.isolate_blur_tile ? 1 : 0);
+  const int slots =
+      slot < 1 || slot > row ? 0 : row / slot * topo.layout().height;
+  int used = 0;
+  std::string why;
+  if (req.pipelines < 1 || req.stages_per_pipeline < 1) {
+    why = "a placement needs at least one pipeline of one stage";
+  } else if (static_cast<long long>(req.pipelines) * req.stages_per_pipeline >
+             cores) {  // checked first: the walk below is sized by it
+    why = "more stages than the chip's " + std::to_string(cores) + " cores";
+  } else if (arrangement == Arrangement::Unordered) {
+    place_unordered(topo.layout().cores_per_tile, req, &used);
+    if (used > cores) {
+      why = "needs " + std::to_string(used) + " of the chip's " +
+            std::to_string(cores) + " cores";
+    }
+  } else if (req.pipelines + 1 > slots) {
+    // One row slot per pipeline plus one for the producer and transfer.
+    why = "needs " + std::to_string(req.pipelines + 1) + " row slots of " +
+          std::to_string(slot) + " cores, the chip has " +
+          std::to_string(slots);
+  }
+  return why.empty() ? Status() : Status(StatusCode::InvalidArgument, why);
+}
 
 Placement make_placement(const MeshTopology& topo, Arrangement arrangement,
                          const PlacementRequest& req) {
-  SCCPIPE_CHECK(req.pipelines >= 1);
-  SCCPIPE_CHECK(req.stages_per_pipeline >= 1);
+  const Status fit = placement_fit(topo, arrangement, req);
+  SCCPIPE_CHECK_MSG(fit.ok(), fit.message());
   const int cpt = topo.layout().cores_per_tile;
-  const int extra = (req.needs_producer ? 1 : 0) + 1;  // producer + transfer
-  const int blur_pad = req.isolate_blur_tile ? req.pipelines * (cpt - 1) : 0;
-  SCCPIPE_CHECK_MSG(
-      req.pipelines * req.stages_per_pipeline + extra + blur_pad <=
-          topo.core_count(),
-      "configuration needs more cores than the chip has: " << req.pipelines
-          << " pipelines x " << req.stages_per_pipeline << " stages");
-
-  Placement out;
-  out.pipeline_cores.resize(static_cast<std::size_t>(req.pipelines));
 
   if (arrangement == Arrangement::Unordered) {
-    // Plain core-id order: producer, pipelines back to back, transfer.
-    CoreId next = 0;
-    auto take = [&]() -> CoreId {
-      SCCPIPE_CHECK(next < topo.core_count());
-      return next++;
-    };
-    if (req.needs_producer) out.producer = take();
-    for (int p = 0; p < req.pipelines; ++p) {
-      auto& cores = out.pipeline_cores[static_cast<std::size_t>(p)];
-      for (int s = 0; s < req.stages_per_pipeline; ++s) {
-        if (req.isolate_blur_tile && s == req.stages_per_pipeline - 4) {
-          // Blur (second filter stage): skip to the next empty tile and
-          // reserve it whole.
-          while (next % cpt != 0) ++next;
-          cores.push_back(take());
-          while (next % cpt != 0) ++next;  // leave the tile's sibling idle
-          continue;
-        }
-        cores.push_back(take());
-      }
-    }
-    out.transfer = take();
-    for (CoreId c = next; c < topo.core_count(); ++c) {
+    int used = 0;
+    Placement out = place_unordered(cpt, req, &used);
+    for (CoreId c = used; c < topo.core_count(); ++c) {
       out.spare_cores.push_back(c);
     }
     return out;
   }
 
+  Placement out;
+  out.pipeline_cores.resize(static_cast<std::size_t>(req.pipelines));
   // Ordered / flipped: one pipeline per row slot.
-  const int slot_size = req.stages_per_pipeline + (req.isolate_blur_tile ? 1 : 0);
-  SCCPIPE_CHECK_MSG(
-      slot_size <= topo.layout().width * cpt,
-      "pipeline of " << req.stages_per_pipeline << " stages does not fit a row");
-  auto slots = make_slots(topo, slot_size);
-  SCCPIPE_CHECK_MSG(
-      static_cast<std::size_t>(req.pipelines) + 1 <= slots.size(),
-      "not enough row slots for " << req.pipelines << " pipelines");
+  auto slots = make_slots(
+      topo, req.stages_per_pipeline + (req.isolate_blur_tile ? 1 : 0));
 
   for (int p = 0; p < req.pipelines; ++p) {
     std::vector<CoreId> slot = slots[static_cast<std::size_t>(p)];

@@ -3,26 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#include "sccpipe/support/args.hpp"
 #include "sccpipe/support/check.hpp"
 
 namespace sccpipe {
-
-Status validate_recovery(const RecoveryConfig& cfg) {
-  if (cfg.heartbeat_period <= SimTime::zero()) {
-    return Status(StatusCode::InvalidArgument,
-                  "--heartbeat-ms must be positive, got " +
-                      std::to_string(cfg.heartbeat_period.to_ms()) + " ms");
-  }
-  if (cfg.detection_deadline < cfg.heartbeat_period + cfg.heartbeat_period) {
-    return Status(
-        StatusCode::InvalidArgument,
-        "--detect-ms (" + std::to_string(cfg.detection_deadline.to_ms()) +
-            " ms) must be at least twice --heartbeat-ms (" +
-            std::to_string(cfg.heartbeat_period.to_ms()) +
-            " ms), or one late heartbeat is declared a core death");
-  }
-  return Status();
-}
 
 const char* gray_policy_name(GrayPolicy policy) {
   switch (policy) {
@@ -35,36 +19,12 @@ const char* gray_policy_name(GrayPolicy policy) {
 }
 
 Status parse_gray_policy(const std::string& text, GrayPolicy* out) {
-  if (text == "off") {
-    *out = GrayPolicy::Off;
-  } else if (text == "dvfs") {
-    *out = GrayPolicy::Dvfs;
-  } else if (text == "migrate") {
-    *out = GrayPolicy::Migrate;
-  } else if (text == "rebalance") {
-    *out = GrayPolicy::Rebalance;
-  } else {
-    return Status(StatusCode::InvalidArgument,
-                  "--gray-policy must be off|dvfs|migrate|rebalance, got '" +
-                      text + "'");
-  }
-  return Status();
-}
-
-Status validate_gray(const GrayConfig& cfg) {
-  if (!cfg.enabled()) return Status();
-  if (cfg.detect_factor <= 1.0) {
-    return Status(StatusCode::InvalidArgument,
-                  "--gray-detect-factor must exceed 1 (the median core sits "
-                  "exactly on a factor-1 threshold), got " +
-                      std::to_string(cfg.detect_factor));
-  }
-  if (cfg.detect_windows < 1) {
-    return Status(StatusCode::InvalidArgument,
-                  "--gray-detect-windows must be positive, got " +
-                      std::to_string(cfg.detect_windows));
-  }
-  return Status();
+  return parse_choice<GrayPolicy>(text,
+                                  {{"off", GrayPolicy::Off},
+                                   {"dvfs", GrayPolicy::Dvfs},
+                                   {"migrate", GrayPolicy::Migrate},
+                                   {"rebalance", GrayPolicy::Rebalance}},
+                                  "--gray-policy", out);
 }
 
 Supervisor::Supervisor(SccChip& chip, const FaultInjector& fault,
@@ -95,8 +55,7 @@ const Supervisor::Watched* Supervisor::find(CoreId core) const {
 
 void Supervisor::enable_gray(GrayConfig cfg, GrayHandler on_gray) {
   SCCPIPE_CHECK(!started_);
-  SCCPIPE_CHECK(validate_gray(cfg).ok());
-  SCCPIPE_CHECK(cfg.enabled());
+  SCCPIPE_CHECK(cfg.detect_factor > 1.0 && cfg.detect_windows >= 1);
   SCCPIPE_CHECK(on_gray != nullptr);
   gray_cfg_ = cfg;
   on_gray_ = std::move(on_gray);

@@ -10,6 +10,7 @@
 #include "sccpipe/filters/filters.hpp"
 #include "sccpipe/noc/fabric.hpp"
 #include "sccpipe/noc/mesh.hpp"
+#include "sccpipe/support/args.hpp"
 #include "sccpipe/support/check.hpp"
 #include "sccpipe/support/snapshot.hpp"
 
@@ -23,6 +24,29 @@ const char* scenario_name(Scenario s) {
     case Scenario::HostRenderer: return "host-renderer";
   }
   return "?";
+}
+
+Status parse_scenario(const std::string& text, Scenario* out) {
+  return parse_choice<Scenario>(
+      text,
+      {{"1-rend", Scenario::SingleRenderer},
+       {"n-rend", Scenario::RendererPerPipeline},
+       {"mcpc", Scenario::HostRenderer},
+       {"single-renderer", Scenario::SingleRenderer},
+       {"renderer-per-pipeline", Scenario::RendererPerPipeline},
+       {"host", Scenario::HostRenderer},
+       {"external", Scenario::HostRenderer}},
+      "scenario", out);
+}
+
+const char* platform_name(PlatformKind p) {
+  return p == PlatformKind::Scc ? "scc" : "cluster";
+}
+
+Status parse_platform(const std::string& text, PlatformKind* out) {
+  return parse_choice<PlatformKind>(
+      text, {{"scc", PlatformKind::Scc}, {"cluster", PlatformKind::Cluster}},
+      "platform", out);
 }
 
 const StageReport* RunResult::stage(StageKind kind, int pipeline) const {
@@ -48,6 +72,30 @@ constexpr StageKind kFilterChain[] = {StageKind::Sepia, StageKind::Blur,
                                       StageKind::Scratch, StageKind::Flicker,
                                       StageKind::Swap};
 constexpr int kFilterCount = 5;
+
+ChipConfig platform_chip(PlatformKind p) {
+  return p == PlatformKind::Scc ? ChipConfig::scc() : ChipConfig::mogon_node();
+}
+
+PlacementRequest placement_request(const RunConfig& cfg) {
+  PlacementRequest req;
+  req.pipelines = cfg.pipelines;
+  req.stages_per_pipeline =
+      kFilterCount + (cfg.scenario == Scenario::RendererPerPipeline ? 1 : 0);
+  req.needs_producer = cfg.scenario == Scenario::SingleRenderer ||
+                       cfg.scenario == Scenario::HostRenderer;
+  req.isolate_blur_tile = cfg.isolate_blur_tile;
+  return req;
+}
+
+/// The first overload flag a config sets, for messages.
+const char* overload_flag(const OverloadConfig& o) {
+  if (o.offered_fps > 0.0) return "--offered-fps";
+  if (o.window > 0) return "--window";
+  if (o.queue_depth > 0) return "--queue-depth";
+  if (o.frame_deadline > SimTime::zero()) return "--frame-deadline-ms";
+  return "--breaker-threshold";
+}
 
 /// Reference cycles the host spends rendering a whole frame: the Xeon's
 /// SIMD advantage discounts the raster loop, and its caches/prefetchers cut
@@ -91,34 +139,18 @@ class WalkthroughSim {
       : scene_(scene),
         trace_(trace),
         cfg_(cfg) {
-    SCCPIPE_CHECK_MSG(cfg.scenario != Scenario::SingleCore,
-                      "use run_single_core() for the one-core baseline");
-    SCCPIPE_CHECK(cfg.pipelines >= 1);
+    const Status valid = validate(cfg);
+    SCCPIPE_CHECK_MSG(valid.ok(), valid.message());
     SCCPIPE_CHECK_MSG(trace.max_k() >= cfg.pipelines,
                       "workload trace built for max_k=" << trace.max_k());
     SCCPIPE_CHECK_MSG(trace.frame_count() >= scene.frame_count(),
                       "trace shorter than the walkthrough");
     if (cfg.overload.enabled()) {
-      SCCPIPE_CHECK_MSG(cfg.scenario == Scenario::HostRenderer,
-                        "overload controls govern the host feed path; only "
-                        "the host-renderer scenario has one");
-      SCCPIPE_CHECK_MSG(cfg.fault.core_failures.empty(),
-                        "overload mode cannot be combined with planned core "
-                        "failures (the supervisor rebuild assumes rendezvous "
-                        "channels)");
       overload_mode_ = true;
       breaker_ = std::make_unique<CircuitBreaker>(
           cfg.overload.breaker_threshold, cfg.overload.breaker_cooldown);
       arrival_at_.assign(static_cast<std::size_t>(frames_total()),
                          SimTime::zero());
-    }
-    if (cfg.gray.enabled()) {
-      const Status gs = validate_gray(cfg.gray);
-      SCCPIPE_CHECK_MSG(gs.ok(), gs.message());
-      SCCPIPE_CHECK_MSG(!cfg.overload.enabled(),
-                        "gray-failure mitigation cannot be combined with the "
-                        "overload data plane (the gray ledger assumes the "
-                        "closed-loop frame accounting)");
     }
     build_platform();
     build_placement();
@@ -175,16 +207,14 @@ class WalkthroughSim {
  private:
   // ------------------------------------------------------------ platform
   void build_platform() {
-    ChipConfig chip_cfg;
+    ChipConfig chip_cfg = platform_chip(cfg_.platform);
     if (cfg_.platform == PlatformKind::Scc) {
-      chip_cfg = ChipConfig::scc();
       viewer_link_ = HostLinkConfig::mcpc();
       producer_link_ = HostLinkConfig::mcpc();
       if (cfg_.scenario == Scenario::HostRenderer) {
         host_ = std::make_unique<HostCpu>(sim_, HostCpuConfig::mcpc());
       }
     } else {
-      chip_cfg = ChipConfig::mogon_node();
       viewer_link_ = HostLinkConfig::cluster();
       producer_link_ = HostLinkConfig::cluster_external();
       if (cfg_.scenario == Scenario::HostRenderer) {
@@ -227,29 +257,12 @@ class WalkthroughSim {
       chip_->memory().set_fault_injector(fault_.get());
       chip_->set_fault_injector(fault_.get());
       rcce_->set_fault_injector(fault_.get());
-      for (const SlowCore& sc : cfg_.fault.slow_cores) {
-        SCCPIPE_CHECK_MSG(topo.valid_core(sc.core),
-                          "slow-core targets core " << sc.core
-                              << " which the chip does not have");
-      }
-      for (const StallSpec& ss : cfg_.fault.stalls) {
-        SCCPIPE_CHECK_MSG(topo.valid_core(ss.core),
-                          "intermittent-stall targets core " << ss.core
-                              << " which the chip does not have");
-      }
     }
   }
 
   void build_placement() {
-    PlacementRequest req;
-    req.pipelines = cfg_.pipelines;
-    req.stages_per_pipeline =
-        kFilterCount +
-        (cfg_.scenario == Scenario::RendererPerPipeline ? 1 : 0);
-    req.needs_producer = cfg_.scenario == Scenario::SingleRenderer ||
-                         cfg_.scenario == Scenario::HostRenderer;
-    req.isolate_blur_tile = cfg_.isolate_blur_tile;
-    placement_ = make_placement(chip_->topology(), cfg_.arrangement, req);
+    placement_ = make_placement(chip_->topology(), cfg_.arrangement,
+                                placement_request(cfg_));
   }
 
   void apply_dvfs() {
@@ -282,11 +295,6 @@ class WalkthroughSim {
     const bool core_faults = fault_ != nullptr && fault_->has_core_failures();
     if (!core_faults && !cfg_.gray.enabled()) return;
     const MeshTopology& topo = chip_->topology();
-    for (const CoreFailure& cf : cfg_.fault.core_failures) {
-      SCCPIPE_CHECK_MSG(topo.valid_core(cf.core),
-                        "core-fail targets core " << cf.core
-                            << " which the chip does not have");
-    }
     const FaultInjector* fi = fault_.get();
     if (fi == nullptr) {
       // Gray detector armed with no fault plan at all (the ablation's
@@ -2303,6 +2311,117 @@ class WalkthroughSim {
 
 }  // namespace
 
+Status validate(const RunConfig& cfg) {
+  const auto reject = [](const std::string& why) {
+    return Status(StatusCode::InvalidArgument, why);
+  };
+  const auto num = [](auto v) { return std::to_string(v); };
+  const std::string chip = std::string("the ") + platform_name(cfg.platform) +
+                           " chip";
+  if (cfg.scenario == Scenario::SingleCore) {
+    return reject("--scenario single-core is run_single_core()'s baseline");
+  }
+  if (cfg.pipelines < 1) {
+    return reject("--pipelines must be at least 1, got " + num(cfg.pipelines));
+  }
+  const MeshTopology topo(platform_chip(cfg.platform).mesh_layout);
+  if (const Status fit =
+          placement_fit(topo, cfg.arrangement, placement_request(cfg));
+      !fit.ok()) {
+    return reject("--pipelines " + num(cfg.pipelines) + " does not fit " +
+                  chip + " " + arrangement_name(cfg.arrangement) +
+                  (cfg.isolate_blur_tile ? " with --isolate-blur" : "") +
+                  ": " + fit.message());
+  }
+  for (const auto& [flag, mhz] : {std::pair{"--blur-mhz", cfg.blur_mhz},
+                                  std::pair{"--tail-mhz", cfg.tail_mhz}}) {
+    if (mhz != 0 && !DvfsTable().allowed(mhz)) {
+      return reject(std::string(flag) + " must be 0 or a DVFS level "
+                    "(400/533/800/1066), got " + num(mhz));
+    }
+  }
+
+  const FaultPlan& f = cfg.fault;
+  std::vector<std::pair<const char*, int>> cores;  // (flag, target)
+  for (const auto& c : f.core_failures) {
+    cores.emplace_back("--core-fail", c.core);
+  }
+  for (const auto& c : f.slow_cores) cores.emplace_back("--slow-core", c.core);
+  for (const auto& c : f.stalls) cores.emplace_back("--stall", c.core);
+  for (const auto& [flag, core] : cores) {
+    if (!topo.valid_core(core)) {
+      return reject(std::string(flag) + " targets core " + num(core) + ", " +
+                    chip + " has cores 0.." + num(topo.core_count() - 1));
+    }
+  }
+  for (const DegradedLink& dl : f.degraded_links) {
+    const int tiles = topo.tile_count();
+    const bool on_mesh = dl.tile_a >= 0 && dl.tile_a < tiles &&
+                         dl.tile_b >= 0 && dl.tile_b < tiles;
+    const TileCoord a = topo.coord_of(on_mesh ? dl.tile_a : 0);
+    const TileCoord b = topo.coord_of(on_mesh ? dl.tile_b : 0);
+    if (std::abs(a.x - b.x) + std::abs(a.y - b.y) != 1) {
+      return reject("--degraded-link " + num(dl.tile_a) + "-" +
+                    num(dl.tile_b) + " is not a link of " + chip +
+                    "'s mesh (adjacent tiles 0.." + num(tiles - 1) + ")");
+    }
+  }
+
+  if (cfg.overload.enabled()) {
+    const std::string flag = overload_flag(cfg.overload);
+    if (cfg.scenario != Scenario::HostRenderer) {
+      return reject(flag + " governs the host feed; only --scenario mcpc "
+                    "has one");
+    }
+    if (!f.core_failures.empty()) {
+      return reject("--core-fail cannot be combined with " + flag +
+                    " (the supervisor rebuild assumes rendezvous channels)");
+    }
+    if (cfg.gray.enabled()) {
+      return reject("--gray-detect-factor cannot be combined with " + flag +
+                    " (the gray ledger assumes closed-loop frame accounting)");
+    }
+  }
+  if (cfg.rcce.retry.max_attempts < 1) {
+    return reject("--rcce-retries must be at least 1, got " +
+                  num(cfg.rcce.retry.max_attempts));
+  }
+  if (cfg.rcce.retry.timeout < SimTime::zero()) {
+    return reject("--rcce-timeout-ms must not be negative");
+  }
+  if (cfg.overload.offered_fps != 0.0 && !(cfg.overload.offered_fps >= 1e-3)) {
+    return reject("--offered-fps must be 0 (closed loop) or at least 0.001, "
+                  "got " + num(cfg.overload.offered_fps));
+  }
+  if ((f.host_reorder_rate > 0.0 || f.host_duplicate_rate > 0.0) &&
+      cfg.overload.window <= 0 && cfg.scenario == Scenario::HostRenderer) {
+    return reject("reorder=/duplicate= host fates need the sliding-window "
+                  "transport; pass --window > 0");
+  }
+
+  const RecoveryConfig& rc = cfg.recovery;
+  if (rc.heartbeat_period <= SimTime::zero()) {
+    return reject("--heartbeat-ms must be positive, got " +
+                  num(rc.heartbeat_period.to_ms()) + " ms");
+  }
+  if (rc.detection_deadline < rc.heartbeat_period + rc.heartbeat_period) {
+    return reject("--detect-ms (" + num(rc.detection_deadline.to_ms()) +
+                  " ms) must be at least twice --heartbeat-ms (" +
+                  num(rc.heartbeat_period.to_ms()) +
+                  " ms), or one late heartbeat is declared a core death");
+  }
+  if (cfg.gray.enabled() && cfg.gray.detect_factor <= 1.0) {
+    return reject("--gray-detect-factor must exceed 1 (the median core sits "
+                  "on a factor-1 threshold), got " +
+                  num(cfg.gray.detect_factor));
+  }
+  if (cfg.gray.enabled() && cfg.gray.detect_windows < 1) {
+    return reject("--gray-detect-windows must be positive, got " +
+                  num(cfg.gray.detect_windows));
+  }
+  return Status();
+}
+
 RunResult run_walkthrough(const SceneBundle& scene, const WorkloadTrace& trace,
                           const RunConfig& cfg) {
   WalkthroughSim sim(scene, trace, cfg);
@@ -2314,9 +2433,7 @@ SingleCoreBreakdown run_single_core(const SceneBundle& scene,
                                     const RunConfig& cfg, bool include_filters,
                                     bool include_transfer) {
   Simulator sim;
-  SccChip chip(sim, cfg.platform == PlatformKind::Scc
-                        ? ChipConfig::scc()
-                        : ChipConfig::mogon_node());
+  SccChip chip(sim, platform_chip(cfg.platform));
   const HostLinkConfig viewer_link = cfg.platform == PlatformKind::Scc
                                          ? HostLinkConfig::mcpc()
                                          : HostLinkConfig::cluster();

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
+#include "sccpipe/support/args.hpp"
 #include "sccpipe/support/check.hpp"
 
 namespace sccpipe {
@@ -69,19 +71,22 @@ bool parse_time(const std::string& v, SimTime* out) {
   return true;
 }
 
-bool parse_rate(const std::string& v, double* out) {
-  char* end = nullptr;
-  const double num = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0' || num < 0.0 || num > 1.0) return false;
+/// A whole-token number in [lo, hi] (support/args.hpp parsers).
+bool parse_in(const std::string& v, double lo, double hi, double* out) {
+  double num = 0.0;
+  if (!parse_double(v, &num) || num < lo || num > hi) return false;
   *out = num;
   return true;
 }
 
+bool parse_rate(const std::string& v, double* out) {
+  return parse_in(v, 0.0, 1.0, out);
+}
+
 bool parse_count(const std::string& v, int* out) {
-  char* end = nullptr;
-  const long num = std::strtol(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || num < 0) return false;
-  *out = static_cast<int>(num);
+  int num = 0;
+  if (!parse_int(v, &num) || num < 0) return false;
+  *out = num;
   return true;
 }
 
@@ -90,11 +95,9 @@ bool parse_count_factor(const std::string& v, int* count, double* factor) {
   const auto colon = v.find(':');
   if (colon == std::string::npos) return parse_count(v, count);
   if (!parse_count(v.substr(0, colon), count)) return false;
-  char* end = nullptr;
-  const std::string f = v.substr(colon + 1);
-  const double num = std::strtod(f.c_str(), &end);
-  if (end == f.c_str() || *end != '\0' || num <= 0.0 || num > 1.0) return false;
-  *factor = num;
+  double f = 0.0;
+  if (!parse_in(v.substr(colon + 1), 0.0, 1.0, &f) || f == 0.0) return false;
+  *factor = f;
   return true;
 }
 
@@ -134,11 +137,7 @@ bool parse_core_fail(const std::string& v, std::vector<CoreFailure>* out) {
 /// A latency *multiplier* for the fail-slow fates: anything below 1 (which
 /// subsumes the nonsense values <= 0) would be a speed-up, not a fault.
 bool parse_multiplier(const std::string& v, double* out) {
-  char* end = nullptr;
-  const double num = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0' || num < 1.0) return false;
-  *out = num;
-  return true;
+  return parse_in(v, 1.0, std::numeric_limits<double>::max(), out);
 }
 
 /// "<core>:<factor>@<time>" for one planned fail-slow onset.

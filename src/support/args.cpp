@@ -1,5 +1,8 @@
 #include "sccpipe/support/args.hpp"
 
+#include <cctype>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -60,12 +63,38 @@ std::string ArgParser::get(const std::string& name) const {
   return it->second.value;
 }
 
-int ArgParser::get_int(const std::string& name) const {
-  return std::atoi(get(name).c_str());
+bool parse_int(const std::string& text, int* out) {
+  char* end = nullptr;
+  const long n = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+      *end != '\0' || n < INT_MIN || n > INT_MAX) {
+    return false;
+  }
+  *out = static_cast<int>(n);
+  return true;
 }
 
-double ArgParser::get_double(const std::string& name) const {
-  return std::atof(get(name).c_str());
+bool parse_double(const std::string& text, double* out) {
+  char* end = nullptr;
+  const double d = std::strtod(text.c_str(), &end);
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+      *end != '\0' || !std::isfinite(d)) {
+    return false;
+  }
+  *out = d;
+  return true;
+}
+
+Status ArgParser::get_int(const std::string& name, int* out) const {
+  if (parse_int(get(name), out)) return Status();
+  return Status(StatusCode::InvalidArgument,
+                "--" + name + " expects an integer, got '" + get(name) + "'");
+}
+
+Status ArgParser::get_double(const std::string& name, double* out) const {
+  if (parse_double(get(name), out)) return Status();
+  return Status(StatusCode::InvalidArgument,
+                "--" + name + " expects a number, got '" + get(name) + "'");
 }
 
 bool ArgParser::get_bool(const std::string& name) const {

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include <unistd.h>
-
 #include "sccpipe/support/crc.hpp"
 
 namespace sccpipe::snapshot {
@@ -282,45 +280,6 @@ Status read_file(const std::string& path, std::vector<std::uint8_t>* out) {
   if (read_error) {
     return Status(StatusCode::NotFound,
                   "snapshot file '" + path + "' is unreadable");
-  }
-  return Status();
-}
-
-Status validate_checkpoint_args(int every_frames, bool every_set,
-                                const std::string& path, bool resume) {
-  if (every_set && every_frames <= 0) {
-    return Status(StatusCode::InvalidArgument,
-                  "--checkpoint-every must be a positive frame count, got " +
-                      std::to_string(every_frames));
-  }
-  if ((every_frames > 0 || resume) && path.empty()) {
-    return Status(StatusCode::InvalidArgument,
-                  "--checkpoint-file is required with --checkpoint-every/"
-                  "--resume");
-  }
-  if (!path.empty() && every_frames <= 0 && !resume) {
-    return Status(StatusCode::InvalidArgument,
-                  "--checkpoint-file without --checkpoint-every/--resume "
-                  "would never be read or written");
-  }
-  if (every_frames > 0) {
-    // Probe the directory, not the file: the file legitimately may not
-    // exist yet, but an unwritable directory should fail at parse time,
-    // not one checkpoint interval into the run.
-    const std::size_t slash = path.find_last_of('/');
-    const std::string dir = slash == std::string::npos
-                                ? std::string(".")
-                                : path.substr(0, slash == 0 ? 1 : slash);
-    if (access(dir.c_str(), W_OK | X_OK) != 0) {
-      return Status(StatusCode::InvalidArgument,
-                    "checkpoint directory '" + dir +
-                        "' is not writable: " + std::strerror(errno));
-    }
-  }
-  if (resume && access(path.c_str(), R_OK) != 0) {
-    return Status(StatusCode::NotFound,
-                  "--resume needs an existing readable snapshot at '" + path +
-                      "': " + std::strerror(errno));
   }
   return Status();
 }

@@ -180,7 +180,9 @@ TEST(ArgParser, ParsesFlagsAndDefaults) {
   args.add_flag("csv", "emit csv", "false");
   const char* argv[] = {"prog", "--pipelines", "7", "--csv"};
   ASSERT_TRUE(args.parse(4, argv));
-  EXPECT_EQ(args.get_int("pipelines"), 7);
+  int pipelines = 0;
+  EXPECT_TRUE(args.get_int("pipelines", &pipelines).ok());
+  EXPECT_EQ(pipelines, 7);
   EXPECT_TRUE(args.get_bool("csv"));
   EXPECT_TRUE(args.has("pipelines"));
 }
@@ -190,7 +192,9 @@ TEST(ArgParser, EqualsSyntaxAndPositional) {
   args.add_flag("size", "frame side", "400");
   const char* argv[] = {"prog", "--size=200", "extra"};
   ASSERT_TRUE(args.parse(3, argv));
-  EXPECT_EQ(args.get_int("size"), 200);
+  int size = 0;
+  EXPECT_TRUE(args.get_int("size", &size).ok());
+  EXPECT_EQ(size, 200);
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "extra");
 }
@@ -208,8 +212,56 @@ TEST(ArgParser, DefaultsSurviveNoArgs) {
   args.add_flag("frames", "n", "400");
   const char* argv[] = {"prog"};
   ASSERT_TRUE(args.parse(1, argv));
-  EXPECT_EQ(args.get_int("frames"), 400);
+  int frames = 0;
+  EXPECT_TRUE(args.get_int("frames", &frames).ok());
+  EXPECT_EQ(frames, 400);
   EXPECT_FALSE(args.has("frames"));
+}
+
+TEST(ArgParser, NumbersMustBeWholeTokens) {
+  ArgParser args;
+  args.add_flag("pipelines", "k", "4");
+  args.add_flag("window", "w", "0");
+  args.add_flag("rate", "r", "0");
+  args.add_flag("empty", "e", "");
+  const char* argv[] = {"prog", "--pipelines", "abc", "--window=8x",
+                        "--rate", "2.5ms"};
+  ASSERT_TRUE(args.parse(6, argv));
+  int i = -1;
+  double d = -1.0;
+  for (const char* flag : {"pipelines", "window", "empty"}) {
+    const Status st = args.get_int(flag, &i);
+    EXPECT_EQ(st.code(), StatusCode::InvalidArgument) << flag;
+    EXPECT_NE(st.message().find(std::string("--") + flag), std::string::npos);
+  }
+  EXPECT_EQ(i, -1);  // a rejected value leaves the output untouched
+  EXPECT_EQ(args.get_double("rate", &d).code(), StatusCode::InvalidArgument);
+  EXPECT_EQ(args.get_double("empty", &d).code(), StatusCode::InvalidArgument);
+  EXPECT_EQ(d, -1.0);
+}
+
+TEST(ArgParser, NumbersAcceptSignsDecimalsAndRejectOverflow) {
+  ArgParser args;
+  args.add_flag("spares", "s", "-1");
+  args.add_flag("ms", "t", "2.5");
+  args.add_flag("exp", "x", "1e3");
+  args.add_flag("huge", "h", "99999999999");
+  args.add_flag("nan", "n", "nan");
+  args.add_flag("space", "sp", " 4");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(args.parse(1, argv));
+  int i = 0;
+  double d = 0.0;
+  EXPECT_TRUE(args.get_int("spares", &i).ok());
+  EXPECT_EQ(i, -1);
+  EXPECT_TRUE(args.get_double("ms", &d).ok());
+  EXPECT_DOUBLE_EQ(d, 2.5);
+  EXPECT_TRUE(args.get_double("exp", &d).ok());
+  EXPECT_DOUBLE_EQ(d, 1000.0);
+  EXPECT_FALSE(args.get_int("ms", &i).ok());  // not an integer
+  EXPECT_FALSE(args.get_int("huge", &i).ok());
+  EXPECT_FALSE(args.get_double("nan", &d).ok());
+  EXPECT_FALSE(args.get_int("space", &i).ok());
 }
 
 TEST(ArgParser, UsageListsFlags) {

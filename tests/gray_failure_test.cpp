@@ -175,15 +175,15 @@ TEST(GrayGrammar, StallRejectsOverlapsAndSecondTrains) {
 }
 
 TEST(GrayConfigValidation, TypedErrorsOnBadTuning) {
-  GrayConfig cfg;  // disabled (factor 0) is always valid
-  EXPECT_TRUE(validate_gray(cfg).ok());
-  cfg.detect_factor = 1.0;  // the median core itself would sit on the line
-  EXPECT_EQ(validate_gray(cfg).code(), StatusCode::InvalidArgument);
-  cfg.detect_factor = 2.0;
-  cfg.detect_windows = 0;
-  EXPECT_EQ(validate_gray(cfg).code(), StatusCode::InvalidArgument);
-  cfg.detect_windows = 3;
-  EXPECT_TRUE(validate_gray(cfg).ok());
+  RunConfig cfg;  // disabled (factor 0) is always valid
+  EXPECT_TRUE(validate(cfg).ok());
+  cfg.gray.detect_factor = 1.0;  // the median core would sit on the line
+  EXPECT_EQ(validate(cfg).code(), StatusCode::InvalidArgument);
+  cfg.gray.detect_factor = 2.0;
+  cfg.gray.detect_windows = 0;
+  EXPECT_EQ(validate(cfg).code(), StatusCode::InvalidArgument);
+  cfg.gray.detect_windows = 3;
+  EXPECT_TRUE(validate(cfg).ok());
 
   GrayPolicy policy;
   EXPECT_TRUE(parse_gray_policy("off", &policy).ok());

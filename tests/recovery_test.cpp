@@ -388,30 +388,30 @@ TEST(Supervisor, CorruptionIsCaughtAndRetriedNeverDeliveredSilently) {
 // mistake, not a tighter setting. It must be rejected before a run starts,
 // with a typed error naming the flags.
 TEST(RecoveryValidation, DeadlineUnderTwoHeartbeatsRejected) {
-  RecoveryConfig cfg;
-  cfg.heartbeat_period = SimTime::ms(10);
-  cfg.detection_deadline = SimTime::ms(15);
-  const Status st = validate_recovery(cfg);
+  RunConfig cfg;
+  cfg.recovery.heartbeat_period = SimTime::ms(10);
+  cfg.recovery.detection_deadline = SimTime::ms(15);
+  const Status st = validate(cfg);
   EXPECT_EQ(st.code(), StatusCode::InvalidArgument);
   EXPECT_NE(st.message().find("--detect-ms"), std::string::npos);
   EXPECT_NE(st.message().find("--heartbeat-ms"), std::string::npos);
 }
 
 TEST(RecoveryValidation, ExactlyTwoHeartbeatsAccepted) {
-  RecoveryConfig cfg;
-  cfg.heartbeat_period = SimTime::ms(10);
-  cfg.detection_deadline = SimTime::ms(20);
-  EXPECT_TRUE(validate_recovery(cfg).ok());
+  RunConfig cfg;
+  cfg.recovery.heartbeat_period = SimTime::ms(10);
+  cfg.recovery.detection_deadline = SimTime::ms(20);
+  EXPECT_TRUE(validate(cfg).ok());
 }
 
 TEST(RecoveryValidation, DefaultsAccepted) {
-  EXPECT_TRUE(validate_recovery(RecoveryConfig{}).ok());
+  EXPECT_TRUE(validate(RunConfig{}).ok());
 }
 
 TEST(RecoveryValidation, NonPositiveHeartbeatRejected) {
-  RecoveryConfig cfg;
-  cfg.heartbeat_period = SimTime::zero();
-  EXPECT_EQ(validate_recovery(cfg).code(), StatusCode::InvalidArgument);
+  RunConfig cfg;
+  cfg.recovery.heartbeat_period = SimTime::zero();
+  EXPECT_EQ(validate(cfg).code(), StatusCode::InvalidArgument);
 }
 
 }  // namespace

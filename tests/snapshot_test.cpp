@@ -12,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "sccpipe/core/run_flags.hpp"
 #include "sccpipe/core/run_snapshot.hpp"
+#include "sccpipe/support/args.hpp"
 #include "sccpipe/support/snapshot.hpp"
 
 namespace sccpipe {
@@ -207,40 +209,56 @@ TEST(Snapshot, WriteToMissingDirectoryIsInvalidArgument) {
 
 // --------------------------------------------------- flag validation (CLI)
 
+/// The checkpoint flags as the CLI reads them (core/run_flags).
+Status checkpoint_args(const std::vector<std::string>& argv) {
+  ArgParser args;
+  add_run_flags(args);
+  std::vector<const char*> raw{"sccpipe"};
+  for (const std::string& a : argv) raw.push_back(a.c_str());
+  if (!args.parse(static_cast<int>(raw.size()), raw.data())) {
+    return Status(StatusCode::InvalidArgument, args.error());
+  }
+  RunFlags flags;
+  return read_run_flags(args, CheckpointFiles::Single, 1, &flags);
+}
+
 TEST(CheckpointArgs, DefaultsAreValid) {
-  EXPECT_TRUE(snapshot::validate_checkpoint_args(0, false, "", false).ok());
+  EXPECT_TRUE(checkpoint_args({}).ok());
 }
 
 TEST(CheckpointArgs, ExplicitNonPositiveEveryRejected) {
-  EXPECT_EQ(snapshot::validate_checkpoint_args(0, true, "x", false).code(),
+  EXPECT_EQ(checkpoint_args({"--checkpoint-every", "0", "--checkpoint-file",
+                             "x"})
+                .code(),
             StatusCode::InvalidArgument);
-  EXPECT_EQ(snapshot::validate_checkpoint_args(-5, true, "x", false).code(),
+  EXPECT_EQ(checkpoint_args({"--checkpoint-every=-5", "--checkpoint-file",
+                             "x"})
+                .code(),
             StatusCode::InvalidArgument);
 }
 
 TEST(CheckpointArgs, EveryOrResumeWithoutPathRejected) {
-  EXPECT_EQ(snapshot::validate_checkpoint_args(10, true, "", false).code(),
+  EXPECT_EQ(checkpoint_args({"--checkpoint-every", "10"}).code(),
             StatusCode::InvalidArgument);
-  EXPECT_EQ(snapshot::validate_checkpoint_args(0, false, "", true).code(),
-            StatusCode::InvalidArgument);
+  EXPECT_EQ(checkpoint_args({"--resume"}).code(), StatusCode::InvalidArgument);
 }
 
 TEST(CheckpointArgs, PathWithoutEveryOrResumeRejected) {
-  EXPECT_EQ(
-      snapshot::validate_checkpoint_args(0, false, "/tmp/x.snap", false).code(),
-      StatusCode::InvalidArgument);
+  EXPECT_EQ(checkpoint_args({"--checkpoint-file", "/tmp/x.snap"}).code(),
+            StatusCode::InvalidArgument);
 }
 
 TEST(CheckpointArgs, UnwritableDirectoryRejected) {
-  EXPECT_EQ(snapshot::validate_checkpoint_args(
-                10, true, "/tmp/sccpipe_no_such_dir_zzz/x.snap", false)
+  EXPECT_EQ(checkpoint_args({"--checkpoint-every", "10", "--checkpoint-file",
+                             "/tmp/sccpipe_no_such_dir_zzz/x.snap"})
                 .code(),
             StatusCode::InvalidArgument);
 }
 
 TEST(CheckpointArgs, ResumeFromMissingFileIsNotFound) {
-  EXPECT_EQ(snapshot::validate_checkpoint_args(
-                0, false, "/tmp/sccpipe_snapshot_test_missing.snap", true)
+  EXPECT_EQ(checkpoint_args({"--checkpoint-file",
+                             "/tmp/sccpipe_snapshot_test_missing.snap",
+                             "--resume"})
                 .code(),
             StatusCode::NotFound);
 }
@@ -248,8 +266,10 @@ TEST(CheckpointArgs, ResumeFromMissingFileIsNotFound) {
 TEST(CheckpointArgs, ResumeFromExistingFileAccepted) {
   const std::string path = "/tmp/sccpipe_snapshot_args_test.snap";
   ASSERT_TRUE(snapshot::write_file_atomic(path, sample_frame()).ok());
-  EXPECT_TRUE(snapshot::validate_checkpoint_args(0, false, path, true).ok());
-  EXPECT_TRUE(snapshot::validate_checkpoint_args(10, true, path, true).ok());
+  EXPECT_TRUE(checkpoint_args({"--checkpoint-file", path, "--resume"}).ok());
+  EXPECT_TRUE(checkpoint_args({"--checkpoint-every", "10", "--checkpoint-file",
+                               path, "--resume"})
+                  .ok());
   std::remove(path.c_str());
 }
 
