@@ -143,11 +143,11 @@ int main(int argc, char** argv) {
   st.update(parse_list(args, "arrangements", parse_arrangement, &arrangements));
   st.update(parse_list(args, "platforms", parse_platform, &platforms));
   st.update(args.get_int("jobs", &jobs));
+  if (st.ok() && jobs <= 0) st.update(exec::default_jobs(&jobs));
   if (!st.ok()) {
     std::fprintf(stderr, "[sweep] error: %s\n", st.to_string().c_str());
     return 2;
   }
-  if (jobs <= 0) jobs = exec::default_jobs();
 
   // Expand the grid up front and validate every run before any scene is
   // built; the runs are independent deterministic simulations, so they

@@ -113,15 +113,16 @@ struct RunConfig {
   FaultPlan fault{};
 
   /// Self-healing knobs (see core/recovery.hpp). Only consulted when the
-  /// fault plan schedules at least one core failure; otherwise no
-  /// Supervisor is built and the run stays bit-identical to PR-1 behaviour.
+  /// fault plan schedules at least one core failure (or the gray detector
+  /// is armed); otherwise no Supervisor is built, and no checkpoint is
+  /// staged or heartbeat sent.
   RecoveryConfig recovery{};
 
   /// Overload-robust data plane (see core/overload.hpp): reliable ARQ host
   /// transport, credit-based backpressure, admission control / shedding /
-  /// circuit breaker. Default-off: a disabled config keeps the legacy
-  /// closed-loop run bit-identical. The combinations it excludes are
-  /// listed once, in validate().
+  /// circuit breaker. Default-off: a disabled config runs the paper's
+  /// closed loop over rendezvous channels. The combinations it excludes
+  /// are listed once, in validate().
   OverloadConfig overload{};
 
   /// Gray-failure tolerance (see core/recovery.hpp GrayConfig): service-
@@ -153,6 +154,9 @@ struct StageReport {
   CoreId core = -1;
   QuantileSummary wait_ms{};  ///< per-frame waiting for the next input tile
   double busy_ms = 0.0;       ///< total busy time on the stage's core
+  /// Frames (strips, per pipeline) the stage really handled: rendered,
+  /// passed on, received from the host, or delivered to the viewer. A
+  /// failed run counts only what ran before it stopped.
   int frames = 0;
 };
 

@@ -23,13 +23,16 @@
 #include <vector>
 
 #include "sccpipe/core/walkthrough.hpp"
+#include "sccpipe/support/status.hpp"
 
 namespace sccpipe::exec {
 
 /// Worker count used when a caller passes jobs = 0: the SCCPIPE_JOBS
-/// environment variable if set to a positive integer, otherwise
-/// std::thread::hardware_concurrency() (at least 1).
-int default_jobs();
+/// environment variable if set, otherwise
+/// std::thread::hardware_concurrency() (at least 1). A SCCPIPE_JOBS that
+/// is not one positive whole number is a typed InvalidArgument naming the
+/// variable (parallel_for turns it into a CheckError).
+Status default_jobs(int* out);
 
 /// Fixed-size thread pool. Threads start in the constructor and join in
 /// the destructor; submit() never blocks (unbounded queue).

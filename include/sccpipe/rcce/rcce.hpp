@@ -88,19 +88,6 @@ class RcceComm {
   void recv(CoreId to, CoreId from, Callback on_complete);
   void recv(CoreId to, CoreId from, StatusCallback on_complete);
 
-  /// Barrier across \p group: each member calls arrive(); all callbacks
-  /// fire when the last member arrives.
-  class Barrier {
-   public:
-    Barrier(RcceComm& comm, std::vector<CoreId> group);
-    void arrive(CoreId core, Callback on_release);
-
-   private:
-    RcceComm& comm_;
-    std::vector<CoreId> group_;
-    std::vector<std::pair<CoreId, Callback>> waiting_;
-  };
-
   /// Number of MPB chunk rounds for a message size.
   int chunk_count(double bytes) const;
 

@@ -156,12 +156,10 @@ class InplaceFunction<R(Args...), Capacity> {
 /// callback object of the tier below (capacity + one ops pointer + padding)
 /// plus the wrapper's own context words; the chain is
 ///
-///   MPB put/get continuations
-///     -> chip compute/dram continuations (stage callbacks)
-///       -> memory-system bulk continuations
-///         -> fair-share flow completions
-///           -> the Simulator event queue itself.
-inline constexpr std::size_t kMpbCallbackBytes = 104;
+///   chip compute/dram continuations (stage callbacks)
+///     -> memory-system bulk continuations
+///       -> fair-share flow completions
+///         -> the Simulator event queue itself.
 inline constexpr std::size_t kStageCallbackBytes = 160;
 inline constexpr std::size_t kMemCallbackBytes = 192;
 inline constexpr std::size_t kFlowCallbackBytes = 224;

@@ -138,6 +138,13 @@ struct DegradedLink {
   SimTime at = SimTime::zero();
 };
 
+/// The directed mesh link from tile \p from to tile \p to, as the mesh's
+/// dense link index (tile * 4 + direction; East=0, West=1, North=2,
+/// South=3 as in noc/topology.hpp), on a mesh of \p tile_count tiles laid
+/// out \p mesh_width to a row. -1 when either tile is off the mesh or the
+/// two are not adjacent: the one rule for which tile pairs name a link.
+int mesh_link_index(int from, int to, int tile_count, int mesh_width);
+
 /// A planned intermittent stall ("intermittent-stall=<core>:<period>:
 /// <duration>"): starting at t = 0 the core freezes for `duration` at the
 /// top of every `period` (duration < period, so consecutive stalls never

@@ -186,7 +186,7 @@ class WalkthroughSim {
     }
     start_producer();
     start_filter_stages();
-    start_transfer();
+    transfer_begin_frame();
     on_run_start();
     const Status livelock = sim_.run_checked(crash_at);
     // Work left beyond the crash instant means the run was cut short; a
@@ -288,9 +288,8 @@ class WalkthroughSim {
   }
 
   /// The Supervisor exists only when the plan schedules a core failure or
-  /// the gray detector is armed, so every other configuration — including
-  /// PR-1 drop/delay fault runs — takes exactly the code paths it did
-  /// before this feature existed.
+  /// the gray detector is armed. Without one, pipelines never change, so no
+  /// checkpoint is staged and no route is snapped.
   void build_supervisor() {
     const bool core_faults = fault_ != nullptr && fault_->has_core_failures();
     if (!core_faults && !cfg_.gray.enabled()) return;
@@ -313,18 +312,8 @@ class WalkthroughSim {
         static_cast<int>(spares_.size()) > cfg_.recovery.max_spares) {
       spares_.resize(static_cast<std::size_t>(cfg_.recovery.max_spares));
     }
-    const std::size_t k = static_cast<std::size_t>(cfg_.pipelines);
-    cores_now_ = placement_.pipeline_cores;
-    pipeline_alive_.assign(k, 1);
-    pipeline_gen_.assign(k, 0);
-    acked_.assign(k, -1);
-    head_sent_.assign(k, -1);
-    outstanding_.resize(k);
-    replay_q_.resize(k);
-    replay_active_.assign(k, 0);
-    gray_drain_.assign(k, 0);
     if (cfg_.gray.enabled()) {
-      pipe_weight_.assign(k, 1.0);
+      pipe_weight_.assign(static_cast<std::size_t>(cfg_.pipelines), 1.0);
       supervisor_->enable_gray(
           cfg_.gray, [this](CoreId core, SimTime at, const GrayEvidence& ev) {
             handle_gray_flag(core, at, ev);
@@ -364,6 +353,15 @@ class WalkthroughSim {
     if (supervisor_) supervisor_->stop();
   }
 
+  /// True when a callback captured under generation \p gen of a pipeline
+  /// (or a transfer ticket) that is now \p current must fall silent. Only a
+  /// supervised run orphans callbacks; elsewhere work already in flight
+  /// when the run fails still finishes, and the pumps' own failed_ guards
+  /// stop new work.
+  bool stale(int gen, int current) const {
+    return supervisor_ && (failed_ || gen != current);
+  }
+
   /// Label a channel's transport errors with the hop they broke.
   Channel* watch(Channel* ch, std::string where) {
     ch->set_error_handler([this, where = std::move(where)](const Status& s) {
@@ -385,8 +383,6 @@ class WalkthroughSim {
   }
 
   void build_channels_and_stages() {
-    const int k = cfg_.pipelines;
-
     // Viewer sink.
     auto viewer_ch = std::make_unique<ChipToViewerChannel>(
         *chip_, placement_.transfer, viewer_link_,
@@ -448,53 +444,72 @@ class WalkthroughSim {
       }
     }
 
-    // Per-pipeline stages and channels.
-    for (int p = 0; p < k; ++p) {
-      const auto& cores = placement_.pipeline_cores[static_cast<std::size_t>(p)];
-      const bool own_renderer =
-          cfg_.scenario == Scenario::RendererPerPipeline;
-      const std::size_t first_filter = own_renderer ? 1 : 0;
-      SCCPIPE_CHECK(cores.size() == first_filter + kFilterCount);
+    // Per-pipeline state, channels and stages.
+    const std::size_t k = static_cast<std::size_t>(cfg_.pipelines);
+    cores_now_ = placement_.pipeline_cores;
+    pipeline_alive_.assign(k, 1);
+    pipeline_gen_.assign(k, 0);
+    acked_.assign(k, -1);
+    head_sent_.assign(k, -1);
+    outstanding_.resize(k);
+    replay_q_.resize(k);
+    replay_active_.assign(k, 0);
+    gray_drain_.assign(k, 0);
+    pipeline_renders_.assign(k, 0);
+    head_channels_.resize(k);
+    tail_channels_.resize(k);
+    for (int p = 0; p < cfg_.pipelines; ++p) {
+      all_pipelines_.push_back(p);
+      build_pipeline(p);
+    }
+  }
 
-      const std::string pl = "[p" + std::to_string(p) + "]";
+  /// (Re)create pipeline \p p's channels over its current core list and
+  /// point its five filter stages at them. Stage objects persist across
+  /// rebuilds (their wait statistics span a remap) and resume after the
+  /// last acked frame; the caller arms them. Channel labels carry the
+  /// generation once the pipeline has been rebuilt: "[p1]", then "[p1g1]".
+  void build_pipeline(int p) {
+    const std::size_t sp = static_cast<std::size_t>(p);
+    const auto& cores = cores_now_[sp];
+    const bool own_renderer = cfg_.scenario == Scenario::RendererPerPipeline;
+    const std::size_t first_filter = own_renderer ? 1 : 0;
+    SCCPIPE_CHECK(cores.size() == first_filter + kFilterCount);
+    const int gen = pipeline_gen_[sp];
+    const std::string pl = "[p" + std::to_string(p) +
+                           (gen > 0 ? "g" + std::to_string(gen) : "") + "]";
 
-      // Head channel: producer/renderer -> sepia.
-      Channel* head;
-      if (own_renderer) {
-        head = make_scc_channel(cores[0], cores[1], "render->sepia" + pl);
-        head_channels_.push_back(head);
-      } else {
-        head = make_scc_channel(placement_.producer, cores[0],
-                                "producer->sepia" + pl);
-        head_channels_.push_back(head);
-      }
-
-      Channel* in = head;
-      for (int f = 0; f < kFilterCount; ++f) {
-        const CoreId core = cores[first_filter + static_cast<std::size_t>(f)];
-        Channel* out;
-        if (f + 1 < kFilterCount) {
-          const CoreId next =
-              cores[first_filter + static_cast<std::size_t>(f) + 1];
-          out = make_scc_channel(core, next,
+    head_channels_[sp] =
+        own_renderer
+            ? make_scc_channel(cores[0], cores[1], "render->sepia" + pl)
+            : make_scc_channel(placement_.producer, cores[0],
+                               "producer->sepia" + pl);
+    Channel* in = head_channels_[sp];
+    for (int f = 0; f < kFilterCount; ++f) {
+      const std::size_t i = first_filter + static_cast<std::size_t>(f);
+      Channel* out =
+          f + 1 < kFilterCount
+              ? make_scc_channel(cores[i], cores[i + 1],
                                  std::string(stage_name(kFilterChain[f])) +
                                      "->" + stage_name(kFilterChain[f + 1]) +
-                                     pl);
-        } else {
-          out = make_scc_channel(core, placement_.transfer,
+                                     pl)
+              : make_scc_channel(cores[i], placement_.transfer,
                                  "swap->transfer" + pl);
-          tail_channels_.push_back(out);
-        }
-        auto st = std::make_unique<StageState>();
-        st->kind = kFilterChain[f];
-        st->pipeline = p;
-        st->core = core;
-        st->in = in;
-        st->out = out;
-        stages_.push_back(std::move(st));
-        in = out;
+      const std::size_t si = static_cast<std::size_t>(p * kFilterCount + f);
+      if (si == stages_.size()) {
+        stages_.push_back(std::make_unique<StageState>());
+        stages_.back()->kind = kFilterChain[f];
+        stages_.back()->pipeline = p;
       }
+      StageState& st = *stages_[si];
+      st.core = cores[i];
+      st.in = in;
+      st.out = out;
+      st.gen = gen;
+      st.frames_done = acked_[sp] + 1;
+      in = out;
     }
+    tail_channels_[sp] = in;
   }
 
   void allocate_cores() {
@@ -512,6 +527,7 @@ class WalkthroughSim {
   double strip_bytes(StripRange r) const {
     return static_cast<double>(r.rows) * side() * 4.0;
   }
+  double frame_bytes() const { return strip_bytes(StripRange{0, side()}); }
 
   /// Render cost with the platform's raster scaling applied (see
   /// ChipConfig::render_cycles_scale).
@@ -556,6 +572,7 @@ class WalkthroughSim {
     chip_->memory_walk(core, w.walk_accesses, [this, frame, core, w] {
       chip_->compute(core, w.cycles, [this, frame, core, w] {
         chip_->dram_stream(core, w.dram_bytes, [this, frame] {
+          ++producer_renders_;
           std::shared_ptr<Image> whole;
           if (cfg_.functional) {
             whole = std::make_shared<Image>(
@@ -567,95 +584,83 @@ class WalkthroughSim {
     });
   }
 
-  /// Distribution entry point. Without a Supervisor this is exactly the
-  /// old direct send_strips path; with one, the whole frame is first staged
-  /// as a checkpoint in the producer's DRAM partition (so a remapped
-  /// pipeline can replay its strips), and routing honours degraded
-  /// pipelines.
+  /// Supervised runs first stage \p bytes in \p core's DRAM partition as
+  /// a replay checkpoint (so a remapped pipeline can re-send what it lost)
+  /// and continue with \p then once it is written; other runs go straight
+  /// on.
+  template <class Then>
+  void stage_checkpoint(CoreId core, double bytes, Then then) {
+    if (supervisor_) {
+      ++recovery_.checkpoint_writes;
+      recovery_.checkpoint_bytes += bytes;
+      chip_->dram_stream(core, bytes, std::move(then));
+    } else {
+      then();
+    }
+  }
+
+  /// The pipelines frame \p frame is split across, or null while the frame
+  /// has not been distributed yet. A supervised run with a shared producer
+  /// snaps each frame's route when distribution begins (a degraded
+  /// pipeline drops out of later frames); every other run routes every
+  /// frame through every pipeline.
+  const std::vector<int>* route_of(int frame) const {
+    if (supervisor_ && cfg_.scenario != Scenario::RendererPerPipeline) {
+      const auto it = frame_routes_.find(frame);
+      return it != frame_routes_.end() ? &it->second : nullptr;
+    }
+    return &all_pipelines_;
+  }
+
+  /// Distribution entry point for a whole frame (scenarios 1 and 3): snap
+  /// the frame's route, stage its checkpoint, then hand strip after strip
+  /// to the head channels.
   void begin_distribution(int frame, std::shared_ptr<Image> whole) {
     if (failed_) return;
-    if (!supervisor_) {
-      send_strips(frame, 0, whole);
-      return;
-    }
-    std::vector<int> route;
-    for (int q = 0; q < cfg_.pipelines; ++q) {
-      if (pipeline_alive_[static_cast<std::size_t>(q)]) route.push_back(q);
-    }
-    if (route.empty()) {
-      on_fault("producer",
-               Status(StatusCode::Unavailable,
-                      "every pipeline has failed; no cores left to route "
-                      "frames through"));
-      return;
-    }
-    frame_routes_[frame] = std::move(route);
-    if (gray_weighted_) {
-      // Rebalanced run: snap this frame's weighted split now, so a
-      // rebalance landing mid-distribution can never tear one frame's
-      // strips (the split must be consistent across all of its slots).
-      const std::vector<int>& rt = frame_routes_[frame];
-      std::vector<double> wts;
-      wts.reserve(rt.size());
-      for (const int q : rt) {
-        wts.push_back(pipe_weight_[static_cast<std::size_t>(q)]);
+    if (supervisor_) {
+      std::vector<int> route;
+      for (int q = 0; q < cfg_.pipelines; ++q) {
+        if (pipeline_alive_[static_cast<std::size_t>(q)]) route.push_back(q);
       }
-      frame_strips_[frame] = divide_rows_weighted(side(), wts);
+      if (route.empty()) {
+        on_fault("producer",
+                 Status(StatusCode::Unavailable,
+                        "every pipeline has failed; no cores left to route "
+                        "frames through"));
+        return;
+      }
+      if (gray_weighted_) {
+        // Rebalanced run: snap this frame's weighted split now, so a
+        // rebalance landing mid-distribution can never tear one frame's
+        // strips (the split must be consistent across all of its slots).
+        std::vector<double> wts;
+        wts.reserve(route.size());
+        for (const int q : route) {
+          wts.push_back(pipe_weight_[static_cast<std::size_t>(q)]);
+        }
+        frame_strips_[frame] = divide_rows_weighted(side(), wts);
+      }
+      frame_routes_[frame] = std::move(route);
     }
     dist_active_ = true;
     dist_frame_ = frame;
     dist_slot_ = 0;
     dist_image_ = whole;
-    const double frame_bytes =
-        static_cast<double>(side()) * static_cast<double>(side()) * 4.0;
-    ++recovery_.checkpoint_writes;
-    recovery_.checkpoint_bytes += frame_bytes;
-    chip_->dram_stream(placement_.producer, frame_bytes,
-                       [this, frame, whole] {
-                         if (failed_) return;
-                         send_strips_routed(frame, 0, whole);
-                       });
+    stage_checkpoint(placement_.producer, frame_bytes(), [this, frame, whole] {
+      send_strips(frame, 0, whole);
+    });
     // The transfer stage may have been stalled waiting to learn this
     // frame's route.
     if (transfer_deferred_) transfer_begin_frame();
   }
 
-  /// Sequentially hand strip s of \p frame to pipeline s (scenario 1 and
-  /// the connect stage of scenario 3 share this).
+  /// Hand strip \p s of \p frame to the next pipeline on its route. The
+  /// frame is split across exactly the route's pipelines, so a degraded
+  /// run re-splits later frames across the survivors instead of leaving a
+  /// hole.
   void send_strips(int frame, int s, std::shared_ptr<Image> whole) {
     if (failed_) return;
-    if (s >= cfg_.pipelines) {
-      // Frame fully distributed; produce the next one.
-      if (cfg_.scenario == Scenario::SingleRenderer) {
-        record_span(placement_.producer, StageKind::Render, frame, "process",
-                    producer_span_start_, sim_.now());
-        render_single_frame(frame + 1);
-      } else {
-        record_span(placement_.producer, StageKind::Connect, frame, "process",
-                    producer_span_start_, sim_.now());
-        connect_loop();
-      }
-      return;
-    }
-    const auto strips = divide_rows(side(), cfg_.pipelines);
-    FrameToken tok;
-    tok.frame = frame;
-    tok.strip = strips[static_cast<std::size_t>(s)];
-    tok.bytes = strip_bytes(tok.strip);
-    if (whole) tok.image = std::make_shared<Image>(whole->strip(tok.strip));
-    head_channels_[static_cast<std::size_t>(s)]->send(
-        std::move(tok), [this, frame, s, whole] {
-          send_strips(frame, s + 1, whole);
-        });
-  }
-
-  /// Supervisor-mode distribution: slot \p s indexes the frame's *route*
-  /// (the pipelines alive when distribution began), and the frame is split
-  /// across exactly those pipelines — a degraded run re-splits subsequent
-  /// frames across the survivors instead of leaving a hole.
-  void send_strips_routed(int frame, int s, std::shared_ptr<Image> whole) {
-    if (failed_) return;
-    const std::vector<int>& route = frame_routes_[frame];
+    const std::vector<int>& route = *route_of(frame);
     // A pipeline that died after the route was snapped already marked this
     // frame lost; skip its slot and keep the chain moving.
     while (s < static_cast<int>(route.size()) &&
@@ -664,6 +669,7 @@ class WalkthroughSim {
       ++s;
     }
     if (s >= static_cast<int>(route.size())) {
+      // Frame fully distributed; produce the next one.
       dist_active_ = false;
       dist_pending_pipeline_ = -1;
       frame_strips_.erase(frame);
@@ -679,9 +685,8 @@ class WalkthroughSim {
       return;
     }
     const int p = route[static_cast<std::size_t>(s)];
-    // A rebalanced frame uses the weighted split snapped when its route
-    // was; all other frames take the equal split, byte-identical to the
-    // pre-gray path.
+    // A rebalanced frame uses the weighted split snapped with its route;
+    // all other frames take the equal split.
     const auto sit = frame_strips_.find(frame);
     const auto strips =
         sit != frame_strips_.end()
@@ -692,25 +697,24 @@ class WalkthroughSim {
     tok.strip = strips[static_cast<std::size_t>(s)];
     tok.bytes = strip_bytes(tok.strip);
     if (whole) tok.image = std::make_shared<Image>(whole->strip(tok.strip));
-    record_outstanding(p, frame, tok);
+    if (supervisor_) record_outstanding(p, frame, tok);
     dist_slot_ = s;
     if (replay_active_[static_cast<std::size_t>(p)]) {
       // The pipeline is still replaying its checkpoint backlog. Queue
       // behind it (the pump reads the strip we just checkpointed) so the
       // head channel sees frames in order, and keep distributing.
       replay_q_[static_cast<std::size_t>(p)].push_back(frame);
-      send_strips_routed(frame, s + 1, whole);
+      send_strips(frame, s + 1, whole);
       return;
     }
     dist_pending_pipeline_ = p;
     const int gen = pipeline_gen_[static_cast<std::size_t>(p)];
     head_channels_[static_cast<std::size_t>(p)]->send(
         std::move(tok), [this, frame, s, whole, p, gen] {
-          if (failed_) return;
           // A remap while this send was pending already resumed the chain.
-          if (gen != pipeline_gen_[static_cast<std::size_t>(p)]) return;
+          if (stale(gen, pipeline_gen_[static_cast<std::size_t>(p)])) return;
           dist_pending_pipeline_ = -1;
-          send_strips_routed(frame, s + 1, whole);
+          send_strips(frame, s + 1, whole);
         });
   }
 
@@ -718,66 +722,64 @@ class WalkthroughSim {
   /// adjusted frustum.
   void render_pipeline_frame(int p, int frame) {
     if (failed_ || frame >= frames_total()) return;
-    const auto& cores =
-        supervisor_ ? cores_now_[static_cast<std::size_t>(p)]
-                    : placement_.pipeline_cores[static_cast<std::size_t>(p)];
-    const CoreId core = cores[0];
-    const int gen =
-        supervisor_ ? pipeline_gen_[static_cast<std::size_t>(p)] : 0;
+    const CoreId core = cores_now_[static_cast<std::size_t>(p)][0];
+    const int gen = pipeline_gen_[static_cast<std::size_t>(p)];
     const RenderLoad& load = trace_.load(frame, cfg_.pipelines, p);
     const StageWork w = scaled_render_work(load, /*adjust_frustum=*/true);
     chip_->memory_walk(core, w.walk_accesses, [this, p, frame, core, w, gen] {
       chip_->compute(core, w.cycles, [this, p, frame, core, w, gen] {
         chip_->dram_stream(core, w.dram_bytes, [this, p, frame, core, gen] {
-          if (supervisor_ &&
-              (failed_ || gen != pipeline_gen_[static_cast<std::size_t>(p)])) {
+          const std::size_t sp = static_cast<std::size_t>(p);
+          if (stale(gen, pipeline_gen_[sp])) {
             return;  // superseded by a remap; the rebuilt chain re-renders
           }
+          ++pipeline_renders_[sp];
           const auto strips = divide_rows(side(), cfg_.pipelines);
           FrameToken tok;
           tok.frame = frame;
-          tok.strip = strips[static_cast<std::size_t>(p)];
+          tok.strip = strips[sp];
           tok.bytes = strip_bytes(tok.strip);
           if (cfg_.functional) {
             tok.image = std::make_shared<Image>(scene_.renderer().render_strip(
                 scene_.path().view(frame), tok.strip));
           }
-          if (!supervisor_) {
-            head_channels_[static_cast<std::size_t>(p)]->send(
-                std::move(tok),
-                [this, p, frame] { render_pipeline_frame(p, frame + 1); });
-            return;
+          if (supervisor_) {
+            record_outstanding(p, frame, tok);
+            head_sent_[sp] = frame;
           }
-          // Checkpoint the rendered strip in the renderer's DRAM partition
-          // before it enters the pipeline, so a remap can replay it
-          // without re-rendering.
-          record_outstanding(p, frame, tok);
-          head_sent_[static_cast<std::size_t>(p)] = frame;
-          ++recovery_.checkpoint_writes;
-          recovery_.checkpoint_bytes += tok.bytes;
-          chip_->dram_stream(
-              core, tok.bytes, [this, p, frame, gen, tok = std::move(tok)]() mutable {
-                if (failed_ ||
-                    gen != pipeline_gen_[static_cast<std::size_t>(p)]) {
-                  return;
-                }
-                head_channels_[static_cast<std::size_t>(p)]->send(
-                    std::move(tok), [this, p, frame, gen] {
-                      if (failed_ ||
-                          gen !=
-                              pipeline_gen_[static_cast<std::size_t>(p)]) {
-                        return;
-                      }
-                      render_pipeline_frame(p, frame + 1);
-                    });
-              });
+          const double bytes = tok.bytes;
+          stage_checkpoint(core, bytes, [this, p, sp, frame, gen,
+                                         tok = std::move(tok)]() mutable {
+            if (stale(gen, pipeline_gen_[sp])) return;
+            head_channels_[sp]->send(std::move(tok), [this, p, sp, frame, gen] {
+              if (stale(gen, pipeline_gen_[sp])) return;
+              render_pipeline_frame(p, frame + 1);
+            });
+          });
         });
       });
     });
   }
 
-  /// Scenario 3 producer: the host renders whole frames and pushes them
-  /// down the UDP path as fast as its credits allow.
+  /// Scenario 3 producer: the host renders whole frame \p frame and pushes
+  /// it down the UDP path; \p next runs once the link has accepted it.
+  template <class Next>
+  void host_render_and_send(int frame, Next next) {
+    const RenderLoad& load = trace_.load(frame, 1, 0);
+    host_->compute(host_render_cycles(cfg_.cal, load), [this, frame, next] {
+      FrameToken tok;
+      tok.frame = frame;
+      tok.strip = StripRange{0, side()};
+      tok.bytes = frame_bytes();
+      if (cfg_.functional) {
+        tok.image = std::make_shared<Image>(
+            scene_.renderer().render(scene_.path().view(frame)));
+      }
+      host_in_->send(std::move(tok), next);
+    });
+  }
+
+  /// Closed loop: render the next frame only once the link took this one.
   void host_render_frame(int frame) {
     if (failed_ || frame >= frames_total()) return;
     if (overload_mode_) {
@@ -787,19 +789,8 @@ class WalkthroughSim {
       ++transport_tally_.frames_admitted;
       arrival_at_[static_cast<std::size_t>(frame)] = sim_.now();
     }
-    const RenderLoad& load = trace_.load(frame, 1, 0);
-    host_->compute(host_render_cycles(cfg_.cal, load), [this, frame] {
-      FrameToken tok;
-      tok.frame = frame;
-      tok.strip = StripRange{0, side()};
-      tok.bytes = static_cast<double>(side()) * side() * 4.0;
-      if (cfg_.functional) {
-        tok.image = std::make_shared<Image>(
-            scene_.renderer().render(scene_.path().view(frame)));
-      }
-      host_in_->send(std::move(tok),
-                     [this, frame] { host_render_frame(frame + 1); });
-    });
+    host_render_and_send(frame,
+                         [this, frame] { host_render_frame(frame + 1); });
   }
 
   // ---------------------------------------- overload-mode open-loop feeder
@@ -868,20 +859,9 @@ class WalkthroughSim {
     const int frame = feeder_q_.front();
     feeder_q_.pop_front();
     ++transport_tally_.frames_admitted;
-    const RenderLoad& load = trace_.load(frame, 1, 0);
-    host_->compute(host_render_cycles(cfg_.cal, load), [this, frame] {
-      FrameToken tok;
-      tok.frame = frame;
-      tok.strip = StripRange{0, side()};
-      tok.bytes = static_cast<double>(side()) * side() * 4.0;
-      if (cfg_.functional) {
-        tok.image = std::make_shared<Image>(
-            scene_.renderer().render(scene_.path().view(frame)));
-      }
-      // The link's accept callback (window slot + credit held) paces the
-      // feeder; the admission queue above absorbs the offered-rate burst.
-      host_in_->send(std::move(tok), [this] { feeder_pump(); });
-    });
+    // The link's accept callback (window slot + credit held) paces the
+    // feeder; the admission queue above absorbs the offered-rate burst.
+    host_render_and_send(frame, [this] { feeder_pump(); });
   }
 
   /// Scenario 3 connect stage: receive a whole frame from the host, split
@@ -932,13 +912,11 @@ class WalkthroughSim {
     if (failed_) return;
     // Generation guard: a remap rebuilds the pipeline's channels and bumps
     // the generation; callbacks captured under the old one fall silent
-    // instead of feeding stale tokens into the new chain. Without a
-    // Supervisor the generation never changes and these guards are inert,
-    // keeping PR-1 behaviour bit-identical.
+    // instead of feeding stale tokens into the new chain.
     const int gen = st.gen;
     st.recv_posted = sim_.now();
     st.in->recv([this, &st, gen](FrameToken tok, SimTime matched) {
-      if (supervisor_ && (failed_ || st.gen != gen)) return;
+      if (stale(gen, st.gen)) return;
       st.wait_ms.add((matched - st.recv_posted).to_ms());
       record_span(st.core, st.kind, tok.frame, "wait", st.recv_posted,
                   matched);
@@ -953,7 +931,7 @@ class WalkthroughSim {
                                          tok = std::move(tok)]() mutable {
         chip_->dram_stream(st.core, w.dram_bytes, [this, &st, gen, matched,
                                                    tok = std::move(tok)]() mutable {
-          if (supervisor_ && (failed_ || st.gen != gen)) return;
+          if (stale(gen, st.gen)) return;
           // Gray-detector service sample: rendezvous match to end of the
           // stage's own compute + DRAM work. Deliberately *before* the
           // downstream send, so a straggler's backpressure never inflates
@@ -969,7 +947,7 @@ class WalkthroughSim {
           }
           const int frame = tok.frame;
           st.out->send(std::move(tok), [this, &st, gen, frame, matched] {
-            if (supervisor_ && (failed_ || st.gen != gen)) return;
+            if (stale(gen, st.gen)) return;
             record_span(st.core, st.kind, frame, "process", matched,
                         sim_.now());
             if (++st.frames_done < frames_total()) arm_filter_stage(st);
@@ -979,107 +957,28 @@ class WalkthroughSim {
     });
   }
 
-  /// Transfer stage: gather one strip from every pipeline (in pipeline
-  /// order, as RCCE receives are posted one at a time), assemble, send to
-  /// the viewer.
-  void start_transfer() {
-    if (supervisor_) {
-      transfer_frame_ = 0;
-      transfer_begin_frame();
-      return;
-    }
-    transfer_collect(0);
-  }
-
-  void transfer_collect(int s) {
-    if (failed_) return;
-    if (s == 0) {
-      transfer_wait_posted_ = sim_.now();
-      transfer_assembly_.clear();
-      if (cfg_.functional) {
-        transfer_image_ = std::make_shared<Image>(side(), side());
-      }
-    }
-    if (s >= cfg_.pipelines) {
-      transfer_assemble();
-      return;
-    }
-    tail_channels_[static_cast<std::size_t>(s)]->recv(
-        [this, s](FrameToken tok, SimTime matched) {
-          if (s == 0) {
-            transfer_wait_.add((matched - transfer_wait_posted_).to_ms());
-          }
-          if (cfg_.functional && tok.image) {
-            // The swap stage flipped each strip; mirroring the strip order
-            // completes the whole-frame vertical flip the viewer expects.
-            const int dst_y0 = side() - tok.strip.y0 - tok.strip.rows;
-            transfer_image_->paste(*tok.image, dst_y0);
-          }
-          transfer_assembly_.push_back(tok.frame);
-          transfer_collect(s + 1);
-        });
-  }
-
-  void transfer_assemble() {
-    const CoreId core = placement_.transfer;
-    const int frame = transfer_assembly_.front();
-    for (const int f : transfer_assembly_) {
-      SCCPIPE_CHECK_MSG(f == frame, "transfer stage mixed frames");
-    }
-    const double frame_bytes = static_cast<double>(side()) * side() * 4.0;
-    const StageWork w = assemble_work(cfg_.cal, frame_bytes);
-    chip_->compute(core, w.cycles, [this, core, w, frame, frame_bytes] {
-      chip_->dram_stream(core, w.dram_bytes, [this, frame, frame_bytes] {
-        FrameToken tok;
-        tok.frame = frame;
-        tok.strip = StripRange{0, side()};
-        tok.bytes = frame_bytes;
-        tok.image = transfer_image_;
-        transfer_image_.reset();
-        const SimTime span_start = sim_.now();
-        viewer_->send(std::move(tok), [this, frame, span_start] {
-          record_span(placement_.transfer, StageKind::Transfer, frame,
-                      "process", span_start, sim_.now());
-          if (frame + 1 < frames_total()) transfer_collect(0);
-        });
-      });
-    });
-  }
-
-  // -------------------------------------- supervisor-mode transfer stage
+  // ------------------------------------------------------ transfer stage
   //
-  // The legacy collector above assumes every pipeline delivers every frame;
-  // under core failures a frame's strip set is the *route* recorded when
-  // the frame was distributed, frames can be lost outright (degrade with
-  // no spares), and a remapped pipeline redelivers through a rebuilt
-  // channel. The ticket makes superseded recv callbacks inert.
-
-  /// Frame route for the transfer stage: constant (all pipelines) in the
-  /// per-pipeline-renderer scenario, per-frame snapshot otherwise.
-  bool transfer_route_for(int frame, std::vector<int>* route) {
-    if (cfg_.scenario == Scenario::RendererPerPipeline) {
-      route->clear();
-      for (int q = 0; q < cfg_.pipelines; ++q) route->push_back(q);
-      return true;
-    }
-    const auto it = frame_routes_.find(frame);
-    if (it == frame_routes_.end()) return false;
-    *route = it->second;
-    return true;
-  }
+  // Gather one strip of the current frame from every pipeline on its route
+  // (in route order, as RCCE receives are posted one at a time), assemble,
+  // send to the viewer. Under a Supervisor frames can be lost outright
+  // (degrade with no spares) and a remapped pipeline redelivers through a
+  // rebuilt channel; the ticket makes superseded recv callbacks inert.
 
   void transfer_begin_frame() {
     if (failed_) return;
     for (;;) {
       if (transfer_frame_ >= frames_total()) {
-        supervisor_->stop();  // run is over; let the event queue drain
+        // Run is over; let the event queue drain.
+        if (supervisor_) supervisor_->stop();
         return;
       }
       if (lost_frames_.count(transfer_frame_) != 0) {
         ++transfer_frame_;
         continue;
       }
-      if (!transfer_route_for(transfer_frame_, &transfer_route_)) {
+      transfer_route_ = route_of(transfer_frame_);
+      if (transfer_route_ == nullptr) {
         // Route unknown: the frame has not been distributed yet. The
         // producer kicks us when it starts the frame.
         transfer_deferred_ = true;
@@ -1099,20 +998,24 @@ class WalkthroughSim {
 
   void transfer_recv_slot() {
     if (failed_) return;
-    if (transfer_slot_ >= static_cast<int>(transfer_route_.size())) {
+    if (transfer_slot_ >= static_cast<int>(transfer_route_->size())) {
       transfer_waiting_ = false;
-      transfer_assemble_supervised();
+      transfer_assemble();
       return;
     }
-    const int p = transfer_route_[static_cast<std::size_t>(transfer_slot_)];
+    const int p = (*transfer_route_)[static_cast<std::size_t>(transfer_slot_)];
     const int ticket = ++transfer_ticket_seq_;
     transfer_ticket_ = ticket;
     transfer_waiting_ = true;
     tail_channels_[static_cast<std::size_t>(p)]->recv(
         [this, p, ticket, slot = transfer_slot_](FrameToken tok,
                                                  SimTime matched) {
-          if (failed_) return;
-          if (ticket != transfer_ticket_) return;  // superseded recv
+          if (stale(ticket, transfer_ticket_)) return;  // superseded recv
+          if (slot == 0 && tok.frame > transfer_frame_) {
+            // Overload control shed the frames in between before they
+            // reached the chip; this is the next frame to assemble.
+            transfer_frame_ = tok.frame;
+          }
           if (tok.frame != transfer_frame_) {
             // A strip of an earlier, since-lost frame draining out of the
             // pipeline (pairwise FIFO puts it ahead of the frame we want):
@@ -1126,6 +1029,8 @@ class WalkthroughSim {
             transfer_wait_.add((matched - transfer_wait_posted_).to_ms());
           }
           if (cfg_.functional && tok.image) {
+            // The swap stage flipped each strip; mirroring the strip order
+            // completes the whole-frame vertical flip the viewer expects.
             const int dst_y0 = side() - tok.strip.y0 - tok.strip.rows;
             transfer_image_->paste(*tok.image, dst_y0);
           }
@@ -1135,21 +1040,19 @@ class WalkthroughSim {
         });
   }
 
-  void transfer_assemble_supervised() {
+  void transfer_assemble() {
     const CoreId core = placement_.transfer;
     const int frame = transfer_frame_;
     for (const int f : transfer_assembly_) {
       SCCPIPE_CHECK_MSG(f == frame, "transfer stage mixed frames");
     }
-    const double frame_bytes =
-        static_cast<double>(side()) * static_cast<double>(side()) * 4.0;
-    const StageWork w = assemble_work(cfg_.cal, frame_bytes);
-    chip_->compute(core, w.cycles, [this, core, w, frame, frame_bytes] {
-      chip_->dram_stream(core, w.dram_bytes, [this, frame, frame_bytes] {
+    const StageWork w = assemble_work(cfg_.cal, frame_bytes());
+    chip_->compute(core, w.cycles, [this, core, w, frame] {
+      chip_->dram_stream(core, w.dram_bytes, [this, frame] {
         FrameToken tok;
         tok.frame = frame;
         tok.strip = StripRange{0, side()};
-        tok.bytes = frame_bytes;
+        tok.bytes = frame_bytes();
         tok.image = transfer_image_;
         transfer_image_.reset();
         const SimTime span_start = sim_.now();
@@ -1187,6 +1090,20 @@ class WalkthroughSim {
     acked = std::max(acked, frame);
     auto& out = outstanding_[static_cast<std::size_t>(p)];
     out.erase(out.begin(), out.upper_bound(frame));
+  }
+
+  /// Where \p core serves in the *current* pipeline map (it may be a
+  /// promoted spare from an earlier remap): {pipeline, index into its core
+  /// list}, or pipeline -1 for a core with no pipeline role.
+  std::pair<int, std::size_t> locate_core(CoreId core) const {
+    for (int q = 0; q < cfg_.pipelines; ++q) {
+      const auto& cores = cores_now_[static_cast<std::size_t>(q)];
+      const auto it = std::find(cores.begin(), cores.end(), core);
+      if (it != cores.end()) {
+        return {q, static_cast<std::size_t>(it - cores.begin())};
+      }
+    }
+    return {-1, 0};
   }
 
   StageKind stage_kind_of(std::size_t idx) const {
@@ -1246,20 +1163,7 @@ class WalkthroughSim {
                       "assembly point cannot be remapped"));
       return;
     }
-    // Locate the core in the *current* pipeline map (it may be a promoted
-    // spare from an earlier failure).
-    int p = -1;
-    std::size_t idx = 0;
-    for (int q = 0; q < cfg_.pipelines && p < 0; ++q) {
-      const auto& cores = cores_now_[static_cast<std::size_t>(q)];
-      for (std::size_t i = 0; i < cores.size(); ++i) {
-        if (cores[i] == core) {
-          p = q;
-          idx = i;
-          break;
-        }
-      }
-    }
+    const auto [p, idx] = locate_core(core);
     if (p < 0) {
       // An allocated-but-roleless core (should not happen — only placement
       // cores are watched). Record the detection and move on.
@@ -1322,14 +1226,20 @@ class WalkthroughSim {
   }
 
   void remap_pipeline(int p, std::size_t idx, FailureRecord& rec) {
+    rec.remapped_to = promote_spare(p, idx, /*drain=*/false);
+    rec.recovered = true;
+    ++recovery_.failures_recovered;
+  }
+
+  /// Move stage \p idx of pipeline \p p onto the next spare core and
+  /// rebuild the pipeline one generation up; the strips it was handed but
+  /// never delivered are then re-sent from their checkpoints (counted as a
+  /// gray drain rather than a replay when \p drain). Returns the spare.
+  CoreId promote_spare(int p, std::size_t idx, bool drain) {
     const std::size_t sp = static_cast<std::size_t>(p);
     const CoreId spare = spares_.front();
     spares_.erase(spares_.begin());
     ++recovery_.spares_used;
-    rec.remapped_to = spare;
-    rec.recovered = true;
-    ++recovery_.failures_recovered;
-
     chip_->allocate_core(spare);
     remapped_cores_.push_back(spare);
     supervisor_->watch(spare);
@@ -1338,20 +1248,26 @@ class WalkthroughSim {
     cores_now_[sp][idx] = spare;
     apply_dvfs_to_replacement(p, idx, spare);
     ++pipeline_gen_[sp];
-    rebuild_pipeline(p);
+    build_pipeline(p);
+    for (int f = 0; f < kFilterCount; ++f) {
+      arm_filter_stage(
+          *stages_[static_cast<std::size_t>(p * kFilterCount + f)]);
+    }
     // If the transfer stage was waiting on this pipeline, its recv died
     // with the old channel; re-post on the rebuilt one (fresh ticket).
     if (transfer_waiting_ &&
-        transfer_route_[static_cast<std::size_t>(transfer_slot_)] == p) {
+        (*transfer_route_)[static_cast<std::size_t>(transfer_slot_)] == p) {
       transfer_recv_slot();
     }
-    // If the producer's distribution chain was stuck sending into the dead
-    // core, resume it; the stuck strip is outstanding and will be replayed.
+    // If the producer's distribution chain was stuck sending into the old
+    // core, resume it; the stuck strip is outstanding and will be re-sent.
     if (dist_pending_pipeline_ == p) {
       dist_pending_pipeline_ = -1;
-      send_strips_routed(dist_frame_, dist_slot_ + 1, dist_image_);
+      send_strips(dist_frame_, dist_slot_ + 1, dist_image_);
     }
+    if (drain) gray_drain_[sp] = 1;
     queue_replay(p);
+    return spare;
   }
 
   void degrade_pipeline(int p, FailureRecord& rec) {
@@ -1382,7 +1298,7 @@ class WalkthroughSim {
     }
     if (dist_pending_pipeline_ == p) {
       dist_pending_pipeline_ = -1;
-      send_strips_routed(dist_frame_, dist_slot_ + 1, dist_image_);
+      send_strips(dist_frame_, dist_slot_ + 1, dist_image_);
     }
     // The transfer stage may be waiting on a frame that just became lost
     // (if it waits on *this* pipeline, the frame necessarily is).
@@ -1408,56 +1324,6 @@ class WalkthroughSim {
     }
   }
 
-  /// Re-create pipeline \p p's channels over its current core list and
-  /// re-arm its stages. Stage objects are reused (their wait statistics
-  /// span the failure), frame counters rewind to the last acked frame.
-  void rebuild_pipeline(int p) {
-    const std::size_t sp = static_cast<std::size_t>(p);
-    const auto& cores = cores_now_[sp];
-    const bool own_renderer = cfg_.scenario == Scenario::RendererPerPipeline;
-    const std::size_t first_filter = own_renderer ? 1 : 0;
-    const std::string pl =
-        "[p" + std::to_string(p) + "g" +
-        std::to_string(pipeline_gen_[sp]) + "]";
-
-    Channel* head;
-    if (own_renderer) {
-      head = make_scc_channel(cores[0], cores[1], "render->sepia" + pl);
-    } else {
-      head = make_scc_channel(placement_.producer, cores[0],
-                              "producer->sepia" + pl);
-    }
-    head_channels_[sp] = head;
-
-    Channel* in = head;
-    for (int f = 0; f < kFilterCount; ++f) {
-      const CoreId core = cores[first_filter + static_cast<std::size_t>(f)];
-      Channel* out;
-      if (f + 1 < kFilterCount) {
-        const CoreId next =
-            cores[first_filter + static_cast<std::size_t>(f) + 1];
-        out = make_scc_channel(core, next,
-                               std::string(stage_name(kFilterChain[f])) +
-                                   "->" + stage_name(kFilterChain[f + 1]) +
-                                   pl);
-      } else {
-        out = make_scc_channel(core, placement_.transfer,
-                               "swap->transfer" + pl);
-        tail_channels_[sp] = out;
-      }
-      StageState& st = *stages_[static_cast<std::size_t>(p * kFilterCount + f)];
-      st.core = core;
-      st.in = in;
-      st.out = out;
-      st.gen = pipeline_gen_[sp];
-      st.frames_done = acked_[sp] + 1;
-      in = out;
-    }
-    for (int f = 0; f < kFilterCount; ++f) {
-      arm_filter_stage(*stages_[static_cast<std::size_t>(p * kFilterCount + f)]);
-    }
-  }
-
   // ------------------------------------------------- checkpointed replay
 
   CoreId checkpoint_reader(int p) const {
@@ -1477,7 +1343,7 @@ class WalkthroughSim {
 
   /// Re-send the pipeline's undelivered strips, oldest first, each paid
   /// for with a checkpoint read from the owning DRAM partition. New frames
-  /// arriving meanwhile are appended to the queue (see send_strips_routed)
+  /// arriving meanwhile are appended to the queue (see send_strips)
   /// so the head channel stays FIFO.
   void pump_replay(int p, int gen) {
     const std::size_t sp = static_cast<std::size_t>(p);
@@ -1584,35 +1450,12 @@ class WalkthroughSim {
   /// path), and the strips still in flight are re-sent from the producer's
   /// staged copies — counted as gray drains, not checkpoint replays.
   CoreId gray_migrate(int p, std::size_t idx, CoreId from) {
-    const std::size_t sp = static_cast<std::size_t>(p);
-    const CoreId spare = spares_.front();
-    spares_.erase(spares_.begin());
-    ++recovery_.spares_used;
-    chip_->allocate_core(spare);
-    remapped_cores_.push_back(spare);
-    supervisor_->watch(spare);
     // The straggler is retired, not dead: stop monitoring it and close its
     // detector incident here — a later planned death of the idle core must
     // not surface as a second overlapping recovery.
     supervisor_->reset_gray(from);
     supervisor_->unwatch(from);
-    abandon_pipeline_pairs(p);
-    swallow_pipeline_errors(p);
-    cores_now_[sp][idx] = spare;
-    apply_dvfs_to_replacement(p, idx, spare);
-    ++pipeline_gen_[sp];
-    rebuild_pipeline(p);
-    if (transfer_waiting_ &&
-        transfer_route_[static_cast<std::size_t>(transfer_slot_)] == p) {
-      transfer_recv_slot();
-    }
-    if (dist_pending_pipeline_ == p) {
-      dist_pending_pipeline_ = -1;
-      send_strips_routed(dist_frame_, dist_slot_ + 1, dist_image_);
-    }
-    gray_drain_[sp] = 1;
-    queue_replay(p);
-    return spare;
+    return promote_spare(p, idx, /*drain=*/true);
   }
 
   /// Shrink the straggling pipeline's strip share in proportion to its
@@ -1641,20 +1484,7 @@ class WalkthroughSim {
     rec.flagged_at_ms = at.to_ms();
     rec.evidence = ev;
     rec.before_stage_ms = ev.window_p50_ms;
-    // Locate the straggler in the live pipeline map (it may already be a
-    // promoted spare from an earlier remap).
-    int p = -1;
-    std::size_t idx = 0;
-    for (int q = 0; q < cfg_.pipelines && p < 0; ++q) {
-      const auto& cores = cores_now_[static_cast<std::size_t>(q)];
-      for (std::size_t i = 0; i < cores.size(); ++i) {
-        if (cores[i] == core) {
-          p = q;
-          idx = i;
-          break;
-        }
-      }
-    }
+    const auto [p, idx] = locate_core(core);
     rec.pipeline = p;
     if (p >= 0) rec.stage = stage_kind_of(idx);
     rec.action = "observe";
@@ -1996,7 +1826,7 @@ class WalkthroughSim {
       rep.kind = StageKind::Render;
       rep.core = placement_.producer;
       rep.busy_ms = chip_->core_busy_time(placement_.producer).to_ms();
-      rep.frames = frames_total();
+      rep.frames = producer_renders_;
       r.stages.push_back(rep);
     } else if (cfg_.scenario == Scenario::RendererPerPipeline) {
       for (int p = 0; p < cfg_.pipelines; ++p) {
@@ -2007,7 +1837,7 @@ class WalkthroughSim {
         rep.pipeline = p;
         rep.core = core;
         rep.busy_ms = chip_->core_busy_time(core).to_ms();
-        rep.frames = frames_total();
+        rep.frames = pipeline_renders_[static_cast<std::size_t>(p)];
         r.stages.push_back(rep);
       }
     }
@@ -2017,8 +1847,7 @@ class WalkthroughSim {
       rep.core = placement_.transfer;
       rep.wait_ms = transfer_wait_.summary();
       rep.busy_ms = chip_->core_busy_time(placement_.transfer).to_ms();
-      rep.frames = supervisor_ ? static_cast<int>(frame_done_ms_.size())
-                               : frames_total();
+      rep.frames = static_cast<int>(frame_done_ms_.size());
       r.stages.push_back(rep);
     }
 
@@ -2211,9 +2040,12 @@ class WalkthroughSim {
   Channel* host_in_ = nullptr;
   std::vector<Channel*> head_channels_;  // producer/renderer -> sepia, per pl
   std::vector<Channel*> tail_channels_;  // swap -> transfer, per pipeline
+  std::vector<int> all_pipelines_;       // 0..k-1: the route of a fixed run
   std::vector<std::unique_ptr<StageState>> stages_;
 
   int connect_frames_ = 0;
+  int producer_renders_ = 0;               // frames the 1-rend producer drew
+  std::vector<int> pipeline_renders_;      // strips each n-rend renderer drew
   SimTime connect_wait_posted_ = SimTime::zero();
   SimTime producer_span_start_ = SimTime::zero();
   SampleSet connect_wait_;
@@ -2249,7 +2081,8 @@ class WalkthroughSim {
   int connect_expected_ = 0;  // next frame id the connect stage may see
   TransportReport transport_tally_;  // frame ledger counters, live
 
-  // ---- self-healing state (all empty/unused when supervisor_ is null) ----
+  // ---- self-healing state. The per-pipeline vectors exist in every run;
+  //      only a supervised run ever changes them. ----
   /// Inert fault view for a gray-only Supervisor (no fault plan at all).
   /// Declared before supervisor_, which holds a reference into it.
   std::unique_ptr<FaultInjector> idle_fault_;
@@ -2275,7 +2108,7 @@ class WalkthroughSim {
   std::map<CoreId, double> gray_flag_ms_;  // first-flag instant, per core
   std::vector<LatencyHistogram> gray_after_hist_;  // per action, aligned
   std::map<CoreId, std::vector<std::size_t>> gray_after_;  // core -> actions
-  std::vector<char> gray_drain_;     // pipeline mid-drain (supervisor-sized)
+  std::vector<char> gray_drain_;     // pipeline mid-drain
   std::vector<double> pipe_weight_;  // strip shares (rebalance rung)
   bool gray_weighted_ = false;
   std::map<int, std::vector<StripRange>> frame_strips_;  // weighted splits
@@ -2294,7 +2127,7 @@ class WalkthroughSim {
   std::size_t crashes_disarmed_ = 0;  // crash-at fates this attempt skips
 
   // Producer distribution progress (to resume a chain stalled on a dead
-  // core) and the supervisor-mode transfer collector's cursor.
+  // core) and the transfer collector's cursor.
   bool dist_active_ = false;
   int dist_frame_ = -1;
   int dist_slot_ = 0;
@@ -2302,7 +2135,7 @@ class WalkthroughSim {
   std::shared_ptr<Image> dist_image_;
   int transfer_frame_ = 0;
   int transfer_slot_ = 0;
-  std::vector<int> transfer_route_;
+  const std::vector<int>* transfer_route_ = nullptr;
   int transfer_ticket_ = 0;
   int transfer_ticket_seq_ = 0;
   bool transfer_waiting_ = false;
@@ -2355,15 +2188,12 @@ Status validate(const RunConfig& cfg) {
     }
   }
   for (const DegradedLink& dl : f.degraded_links) {
-    const int tiles = topo.tile_count();
-    const bool on_mesh = dl.tile_a >= 0 && dl.tile_a < tiles &&
-                         dl.tile_b >= 0 && dl.tile_b < tiles;
-    const TileCoord a = topo.coord_of(on_mesh ? dl.tile_a : 0);
-    const TileCoord b = topo.coord_of(on_mesh ? dl.tile_b : 0);
-    if (std::abs(a.x - b.x) + std::abs(a.y - b.y) != 1) {
+    if (mesh_link_index(dl.tile_a, dl.tile_b, topo.tile_count(),
+                        topo.layout().width) < 0) {
       return reject("--degraded-link " + num(dl.tile_a) + "-" +
                     num(dl.tile_b) + " is not a link of " + chip +
-                    "'s mesh (adjacent tiles 0.." + num(tiles - 1) + ")");
+                    "'s mesh (adjacent tiles 0.." +
+                    num(topo.tile_count() - 1) + ")");
     }
   }
 

@@ -8,17 +8,25 @@
 #include <mutex>
 #include <thread>
 
+#include "sccpipe/support/args.hpp"
 #include "sccpipe/support/check.hpp"
 
 namespace sccpipe::exec {
 
-int default_jobs() {
+Status default_jobs(int* out) {
   if (const char* env = std::getenv("SCCPIPE_JOBS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
+    int v = 0;
+    if (!parse_int(env, &v) || v < 1) {
+      return Status(StatusCode::InvalidArgument,
+                    std::string("SCCPIPE_JOBS must be a positive integer, "
+                                "got '") + env + "'");
+    }
+    *out = v;
+    return Status();
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  *out = hw > 0 ? static_cast<int>(hw) : 1;
+  return Status();
 }
 
 // ----------------------------------------------------------------- ThreadPool
@@ -81,7 +89,10 @@ void ThreadPool::submit(std::function<void()> fn) {
 void parallel_for(int jobs, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (jobs == 0) jobs = default_jobs();
+  if (jobs == 0) {
+    const Status st = default_jobs(&jobs);
+    SCCPIPE_CHECK_MSG(st.ok(), st.message());
+  }
   SCCPIPE_CHECK(jobs >= 1);
 
   std::mutex err_mu;

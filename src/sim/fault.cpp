@@ -404,6 +404,21 @@ Status FaultPlan::parse(const std::string& text) {
   return Status();
 }
 
+int mesh_link_index(int from, int to, int tile_count, int mesh_width) {
+  if (mesh_width <= 0 || from < 0 || from >= tile_count || to < 0 ||
+      to >= tile_count) {
+    return -1;
+  }
+  const int fx = from % mesh_width, fy = from / mesh_width;
+  const int tx = to % mesh_width, ty = to / mesh_width;
+  if (std::abs(fx - tx) + std::abs(fy - ty) != 1) return -1;
+  const int dir = tx == fx + 1   ? 0   // East
+                  : tx == fx - 1 ? 1   // West
+                  : ty == fy - 1 ? 2   // North
+                                 : 3;  // South
+  return from * 4 + dir;
+}
+
 FaultInjector::FaultInjector(const FaultPlan& plan, int link_count,
                              int tile_count, int mc_count, int mesh_width)
     : plan_(plan),
@@ -472,32 +487,19 @@ FaultInjector::FaultInjector(const FaultPlan& plan, int link_count,
     if (dl.factor == 1.0) continue;
     SCCPIPE_CHECK_MSG(mesh_width > 0,
                       "degraded-link plans need the mesh width");
-    SCCPIPE_CHECK_MSG(dl.tile_a >= 0 && dl.tile_a < tile_count &&
-                          dl.tile_b >= 0 && dl.tile_b < tile_count,
+    // Degrade both directed halves of the physical link.
+    const int halves[2] = {
+        mesh_link_index(dl.tile_a, dl.tile_b, tile_count, mesh_width),
+        mesh_link_index(dl.tile_b, dl.tile_a, tile_count, mesh_width)};
+    SCCPIPE_CHECK_MSG(halves[0] >= 0,
                       "degraded-link " << dl.tile_a << "-" << dl.tile_b
-                                       << " names a tile off the mesh");
-    const int ax = dl.tile_a % mesh_width, ay = dl.tile_a / mesh_width;
-    const int bx = dl.tile_b % mesh_width, by = dl.tile_b / mesh_width;
-    SCCPIPE_CHECK_MSG(std::abs(ax - bx) + std::abs(ay - by) == 1,
-                      "degraded-link " << dl.tile_a << "-" << dl.tile_b
-                                       << " is not a mesh link (tiles not "
-                                          "adjacent)");
-    // Degrade both directed halves of the physical link. Direction codes
-    // match noc/topology.hpp (East=0, West=1, North=2, South=3) and the
-    // mesh's dense link index convention tile*4 + direction.
-    const auto dir_from = [&](int fx, int fy, int tx, int ty) {
-      if (tx == fx + 1) return 0;  // East
-      if (tx == fx - 1) return 1;  // West
-      if (ty == fy - 1) return 2;  // North
-      return 3;                    // South
-    };
-    const int pair[2][2] = {{dl.tile_a, dir_from(ax, ay, bx, by)},
-                            {dl.tile_b, dir_from(bx, by, ax, ay)}};
-    for (const auto& half : pair) {
+                                       << " is not a mesh link (a tile off "
+                                          "the mesh, or tiles not adjacent)");
+    for (const int link : halves) {
       FaultEvent ev;
       ev.kind = FaultKind::LinkLatency;
-      ev.target = half[0] * 4 + half[1];
-      SCCPIPE_CHECK(ev.target >= 0 && ev.target < link_count);
+      ev.target = link;
+      SCCPIPE_CHECK(ev.target < link_count);
       ev.start = dl.at;
       ev.end = SimTime::max();
       ev.factor = 1.0 / dl.factor;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sccpipe/exec/executor.hpp"
+#include "sccpipe/support/check.hpp"
 
 namespace sccpipe {
 namespace {
@@ -40,12 +41,28 @@ const WorkloadTrace& shared_trace() {
 // ------------------------------------------------------------ default_jobs
 
 TEST(DefaultJobs, EnvOverrideWins) {
+  int jobs = 0;
   ASSERT_EQ(setenv("SCCPIPE_JOBS", "3", 1), 0);
-  EXPECT_EQ(exec::default_jobs(), 3);
-  ASSERT_EQ(setenv("SCCPIPE_JOBS", "not-a-number", 1), 0);
-  EXPECT_GE(exec::default_jobs(), 1);  // falls back to hardware concurrency
+  ASSERT_TRUE(exec::default_jobs(&jobs).ok());
+  EXPECT_EQ(jobs, 3);
   ASSERT_EQ(unsetenv("SCCPIPE_JOBS"), 0);
-  EXPECT_GE(exec::default_jobs(), 1);
+  ASSERT_TRUE(exec::default_jobs(&jobs).ok());
+  EXPECT_GE(jobs, 1);  // hardware concurrency
+}
+
+// Only values that start no threads: the error surfaces before any pool.
+TEST(DefaultJobs, MalformedOrNonPositiveEnvIsTypedError) {
+  for (const char* bad : {"2x", "abc", "0", "-3", "", " 2", "99999999999"}) {
+    ASSERT_EQ(setenv("SCCPIPE_JOBS", bad, 1), 0);
+    int jobs = 7;
+    const Status st = exec::default_jobs(&jobs);
+    EXPECT_EQ(st.code(), StatusCode::InvalidArgument) << "'" << bad << "'";
+    EXPECT_NE(st.message().find("SCCPIPE_JOBS"), std::string::npos) << bad;
+    EXPECT_EQ(jobs, 7) << "'" << bad << "'";
+  }
+  ASSERT_EQ(setenv("SCCPIPE_JOBS", "2x", 1), 0);
+  EXPECT_THROW(exec::parallel_for(0, 1, [](std::size_t) {}), CheckError);
+  ASSERT_EQ(unsetenv("SCCPIPE_JOBS"), 0);
 }
 
 // -------------------------------------------------------------- ThreadPool

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "sccpipe/core/walkthrough.hpp"
+#include "sccpipe/noc/topology.hpp"
 #include "sccpipe/sim/fault.hpp"
 
 namespace sccpipe {
@@ -130,6 +131,39 @@ FaultPlan window_heavy_plan(std::uint64_t seed) {
   plan.mc_degrade_count = 2;
   plan.mc_stall_count = 1;
   return plan;
+}
+
+// The sim layer's mesh-link rule agrees with the NoC's own link indexing
+// for every tile pair of the SCC mesh, and refuses everything else.
+TEST(FaultInjector, MeshLinkIndexMatchesTopology) {
+  const MeshTopology topo;
+  const int tiles = topo.tile_count();
+  const int width = topo.layout().width;
+  int links = 0;
+  for (int a = 0; a < tiles; ++a) {
+    for (int b = 0; b < tiles; ++b) {
+      const TileCoord ca = topo.coord_of(a);
+      const TileCoord cb = topo.coord_of(b);
+      const int got = mesh_link_index(a, b, tiles, width);
+      if (topo.hop_distance(ca, cb) != 1) {
+        EXPECT_EQ(got, -1) << a << "-" << b;
+        continue;
+      }
+      const Direction dir = cb.x > ca.x   ? Direction::East
+                            : cb.x < ca.x ? Direction::West
+                            : cb.y < ca.y ? Direction::North
+                                          : Direction::South;
+      EXPECT_EQ(got, topo.link_index(LinkId{ca, dir})) << a << "-" << b;
+      ++links;
+    }
+  }
+  EXPECT_EQ(links, 2 * ((width - 1) * (tiles / width) +
+                        width * (tiles / width - 1)));
+  for (const auto& [a, b] : {std::pair{-1, 0}, std::pair{0, tiles},
+                             std::pair{tiles - 1, tiles}}) {
+    EXPECT_EQ(mesh_link_index(a, b, tiles, width), -1) << a << "-" << b;
+  }
+  EXPECT_EQ(mesh_link_index(0, 1, tiles, 0), -1);
 }
 
 TEST(FaultInjector, SameSeedSameSchedule) {
