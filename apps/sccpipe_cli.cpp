@@ -12,10 +12,12 @@
 
 #include "sccpipe/core/run_flags.hpp"
 #include "sccpipe/core/walkthrough.hpp"
+#include "sccpipe/exec/executor.hpp"
 #include "sccpipe/support/args.hpp"
 #include "sccpipe/support/table.hpp"
 
-// Exit codes: 0 ok, 1 run failed gracefully (typed fault), 2 bad flags,
+// Exit codes: 0 ok, 1 run failed gracefully (typed fault), 2 bad flags or
+// a malformed SCCPIPE_JOBS (the trace build's worker count),
 // 65 checkpoint/resume data error, 70 planned crash (the run died at a
 // crash-at instant; resume with --resume to continue it).
 
@@ -75,6 +77,10 @@ int main(int argc, char** argv) {
   cfg.seed = static_cast<std::uint64_t>(seed);
   if (fault_seed > 0) cfg.fault.seed = static_cast<std::uint64_t>(fault_seed);
   st.update(validate(cfg));
+  // The trace build's estimation workers (SCCPIPE_JOBS, else every core);
+  // the trace is bit-identical at any count.
+  int jobs = 0;
+  st.update(exec::default_jobs(&jobs));
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
     return 2;
@@ -85,7 +91,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "[sccpipe] building scene (%d frames at %dx%d)...\n",
                frames, size, size);
   SceneBundle scene(CityParams{}, CameraConfig{}, size, frames);
-  const WorkloadTrace trace = WorkloadTrace::build(scene, cfg.pipelines);
+  const WorkloadTrace trace =
+      WorkloadTrace::build(scene, cfg.pipelines, exec::trace_runner(jobs));
   TimelineRecorder timeline;
   const std::string timeline_path = args.get("timeline");
   if (!timeline_path.empty()) cfg.timeline = &timeline;

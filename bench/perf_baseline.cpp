@@ -1,8 +1,8 @@
 // Perf baseline for the allocation-free hot paths: measures the optimised
-// event engine, pixel kernels and workload estimator against the
-// compiled-in reference transcriptions (sim/reference_scheduler.hpp,
-// filters/reference.hpp, render/reference.hpp) and writes
-// BENCH_perf_baseline.json.
+// event engine, pixel kernels, frame CRC-32 and workload estimator against
+// the compiled-in reference transcriptions (sim/reference_scheduler.hpp,
+// filters/reference.hpp, render/reference.hpp, support/reference.hpp) and
+// writes BENCH_perf_baseline.json.
 //
 // The committed numbers are speedup RATIOS (optimised vs reference on the
 // same machine, same build, same workload), so they are comparable across
@@ -14,10 +14,13 @@
 // baseline exists to pin down — see docs/PERF.md for the analysis.
 // `--check FILE` is the CI regression gate: it fails when any current ratio
 // drops below half the committed one (a >2x regression), and deliberately
-// never gates on absolute numbers.
+// never gates on absolute numbers. The committed record is read before
+// anything is written, and a gate run never writes over the file it gates
+// against.
 //
 // Flags:
-//   --out PATH     write the JSON record here (default BENCH_perf_baseline.json)
+//   --out PATH     write the JSON record here (default BENCH_perf_baseline.json;
+//                  `none` writes nothing, and so does a PATH equal to --check)
 //   --smoke        reduced repeats/workloads for CI (ratios are noisier but
 //                  the 2x gate has plenty of margin)
 //   --check PATH   compare against a committed record; exit 1 on regression
@@ -27,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <new>
 #include <optional>
 #include <span>
@@ -46,6 +50,8 @@
 #include "sccpipe/sim/simulator.hpp"
 #include "sccpipe/support/args.hpp"
 #include "sccpipe/support/check.hpp"
+#include "sccpipe/support/crc.hpp"
+#include "sccpipe/support/reference.hpp"
 #include "sccpipe/support/rng.hpp"
 
 using namespace sccpipe;
@@ -285,6 +291,34 @@ Metric bench_raster(int side, int triangles, int repeats) {
                 mpix / median(opt_s)};
 }
 
+// ------------------------------------------------------------- frame CRC
+//
+// The checksum every functional Channel crossing stamps and verifies over a
+// whole frame: the slicing-by-16 kernel against the byte-at-a-time loop it
+// replaced, on one paper-sized RGBA frame. Both must return the same value.
+
+Metric bench_crc32(int side, int repeats, int passes) {
+  Rng rng{0xc3c34005};
+  const Image img = random_image(rng, side);
+  const double mb = static_cast<double>(img.byte_size()) * passes / 1e6;
+  std::vector<double> ref_s, opt_s;
+  std::uint32_t ref_crc = 0, opt_crc = 0;
+  for (int r = 0; r < repeats; ++r) {
+    auto t0 = Clock::now();
+    for (int p = 0; p < passes; ++p) {
+      ref_crc = reference::crc32(img.data(), img.byte_size());
+    }
+    ref_s.push_back(seconds_since(t0));
+    t0 = Clock::now();
+    for (int p = 0; p < passes; ++p) {
+      opt_crc = crc32(img.data(), img.byte_size());
+    }
+    opt_s.push_back(seconds_since(t0));
+    SCCPIPE_CHECK(opt_crc == ref_crc);
+  }
+  return Metric{"crc32", "MB/s", mb / median(ref_s), mb / median(opt_s)};
+}
+
 // ----------------------------------------------------- workload estimation
 //
 // The WorkloadTrace::build kernel: reference::estimate_strip once per strip
@@ -436,15 +470,10 @@ std::string read_file(const std::string& path) {
   return out;
 }
 
-/// The CI regression gate: every committed ratio must still be at least
-/// half-reached by the current build. Returns the number of failures.
-int check_against(const std::string& path, const std::vector<Metric>& now) {
-  const std::string json = read_file(path);
-  if (json.empty()) {
-    std::fprintf(stderr, "[bench] cannot read committed baseline %s\n",
-                 path.c_str());
-    return 1;
-  }
+/// The CI regression gate: every committed ratio in \p json (the committed
+/// record's text) must still be at least half-reached by the current build.
+/// Returns the number of failures.
+int check_against(const std::string& json, const std::vector<Metric>& now) {
   int failures = 0;
   for (const Metric& m : now) {
     const std::optional<double> want =
@@ -477,6 +506,18 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool smoke = args.get_bool("smoke");
+  // Read the committed record before measuring, so nothing this run writes
+  // can become the baseline it is gated against.
+  const std::string check_path = args.get("check");
+  std::string committed;
+  if (!check_path.empty()) {
+    committed = read_file(check_path);
+    if (committed.empty()) {
+      std::fprintf(stderr, "[bench] cannot read committed baseline %s\n",
+                   check_path.c_str());
+      return 1;
+    }
+  }
 
   // Workload sizes: full mode is for the committed record (stable medians),
   // smoke mode for CI wall-clock budget. Chains = simultaneously pending
@@ -507,6 +548,7 @@ int main(int argc, char** argv) {
       [](Image& img) { apply_sepia(img); },
       [](Image& img) { reference::apply_sepia(img); }));
   metrics.push_back(bench_raster(img_side, smoke ? 120 : 400, repeats));
+  metrics.push_back(bench_crc32(img_side, repeats, smoke ? 8 : 32));
   // The paper trace's shape: 400x400 frames, k = 1..7 (28 strips a frame).
   metrics.push_back(bench_estimate(smoke ? 8 : 40, img_side, 7, repeats));
 
@@ -532,13 +574,19 @@ int main(int argc, char** argv) {
   }
 
   const std::string out = args.get("out");
-  if (out != "none") write_json(out, metrics, e2e, smoke);
+  std::error_code ec;
+  if (!check_path.empty() && std::filesystem::equivalent(out, check_path, ec)) {
+    std::fprintf(stderr, "[bench] not writing over the gated record %s\n",
+                 out.c_str());
+  } else if (out != "none") {
+    write_json(out, metrics, e2e, smoke);
+  }
 
-  if (args.has("check") && !args.get("check").empty()) {
-    const int failures = check_against(args.get("check"), metrics);
+  if (!check_path.empty()) {
+    const int failures = check_against(committed, metrics);
     if (failures > 0) {
       std::fprintf(stderr, "[bench] %d metric(s) regressed >2x vs %s\n",
-                   failures, args.get("check").c_str());
+                   failures, check_path.c_str());
       return 1;
     }
     std::printf("[check] all ratios within 2x of the committed baseline\n");

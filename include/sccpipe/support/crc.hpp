@@ -11,6 +11,15 @@
 /// This is the functional-correctness net only; the simulated *cost* of
 /// computing the checksum is folded into the transports' per-message
 /// overhead cycles and is not modelled separately.
+///
+/// The host-side kernel is a portable slicing-by-16: sixteen 256-entry
+/// tables (16 KB, built at compile time) fold 16 input bytes per step with
+/// 16 independent lookups, and a byte-at-a-time loop takes the tail. That
+/// is ~0.4 ns/byte (~0.22 ms per 400x400 RGBA frame on a 4-vCPU x86-64
+/// guest) against ~2.8 ns/byte for the byte-at-a-time loop it replaced,
+/// which stays as reference::crc32 (support/reference.hpp) for the
+/// equivalence test and bench/perf_baseline. Functional mode checksums 16
+/// full-frame equivalents per HostRenderer k=4 frame (docs/PERF.md §6).
 
 #include <cstddef>
 #include <cstdint>

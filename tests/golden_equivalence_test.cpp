@@ -4,10 +4,13 @@
 // Seeded random images over a size grid that includes every degenerate
 // shape (1x1, single row, single column, odd sizes) so the edge-clamp
 // paths of the running-sum blur and the row hoisting of the rasterizer are
-// all exercised.
+// all exercised. The slicing-by-16 CRC-32 is held to the byte-at-a-time
+// loop it replaced the same way: equal on every length, offset and seed
+// chain.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -15,6 +18,8 @@
 #include "sccpipe/filters/reference.hpp"
 #include "sccpipe/render/rasterizer.hpp"
 #include "sccpipe/render/reference.hpp"
+#include "sccpipe/support/crc.hpp"
+#include "sccpipe/support/reference.hpp"
 #include "sccpipe/support/rng.hpp"
 
 namespace sccpipe {
@@ -214,6 +219,70 @@ TEST(GoldenRaster, StripWindowBitIdentical) {
   }
   EXPECT_EQ(full_opt.color().strip(StripRange{kStripY0, kStripRows}),
             strip_ref.color());
+}
+
+// ----------------------------------------------------------------- crc32
+
+std::vector<std::uint8_t> random_bytes(Rng& rng, std::size_t n) {
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
+  return out;
+}
+
+TEST(GoldenCrc32, EveryLengthAndOffsetMatchesReference) {
+  // Lengths 0..256 cover an empty buffer, the byte tail alone (< 16),
+  // whole 16-byte steps and every step + tail mix; offsets 0..15 put the
+  // 16-byte loads at every alignment.
+  Rng rng{0xc3c32001};
+  const std::vector<std::uint8_t> buf = random_bytes(rng, 256 + 16);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      ASSERT_EQ(crc32(buf.data() + offset, len),
+                reference::crc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(GoldenCrc32, ChainedSeedsMatchAtEverySplit) {
+  Rng rng{0xc3c32002};
+  const std::vector<std::uint8_t> buf = random_bytes(rng, 100);
+  const std::uint32_t whole = reference::crc32(buf.data(), buf.size());
+  EXPECT_EQ(crc32(buf.data(), buf.size()), whole);
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::uint32_t head = crc32(buf.data(), split);
+    ASSERT_EQ(head, reference::crc32(buf.data(), split)) << "split " << split;
+    ASSERT_EQ(crc32(buf.data() + split, buf.size() - split, head), whole)
+        << "split " << split;
+    ASSERT_EQ(reference::crc32(buf.data() + split, buf.size() - split, head),
+              whole)
+        << "split " << split;
+  }
+}
+
+TEST(GoldenCrc32, IncrementalUnevenChunksMatchReference) {
+  Rng rng{0xc3c32003};
+  const std::vector<std::uint8_t> buf = random_bytes(rng, 1000);
+  const std::uint32_t want = reference::crc32(buf.data(), buf.size());
+  Crc32 acc;
+  std::size_t pos = 0;
+  for (std::size_t chunk = 0; pos < buf.size(); ++chunk) {
+    // 0, 1, 2, ... 36, then wrap: empty, tail-only and multi-step chunks.
+    const std::size_t n = std::min(chunk % 37, buf.size() - pos);
+    acc.update(buf.data() + pos, n);
+    pos += n;
+    ASSERT_EQ(acc.value(), reference::crc32(buf.data(), pos)) << "at " << pos;
+  }
+  EXPECT_EQ(acc.value(), want);
+}
+
+TEST(GoldenCrc32, PaperFrameMatchesReference) {
+  // One 400x400 RGBA frame: the size every functional Channel crossing
+  // checksums.
+  Rng rng{0xc3c32004};
+  const Image img = random_image(rng, 400, 400);
+  EXPECT_EQ(crc32(img.data(), img.byte_size()),
+            reference::crc32(img.data(), img.byte_size()));
 }
 
 }  // namespace
